@@ -148,6 +148,14 @@ def balancing_like_chain_q(n: int, a: int, q: Fraction) -> ChainFamily:
     )
 
 
+def _band_slot(i: int, j: int) -> int | None:
+    """Index of cell (i, j) in (col0, sub, diag, sup), or None off the pattern."""
+    if j == 0:
+        return 0
+    slot = j - i + 2
+    return slot if 1 <= slot <= 3 else None
+
+
 class StochasticMatrix:
     """Square matrix of exact fractions, dense or band-compressed.
 
@@ -215,13 +223,56 @@ class StochasticMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         if self._rows is not None:
             return self._rows[i]
-        return tuple(self.entry(i, j) for j in range(self.n))
+        row = [Fraction(0)] * self.n
+        for j, value in self.nonzeros(i):
+            row[j] = value
+        return tuple(row)
 
     def rows(self) -> list[tuple[Fraction, ...]]:
         return [self.row(i) for i in range(self.n)]
 
+    def nonzeros(self, i: int) -> list[tuple[int, Fraction]]:
+        """The nonzero cells ``(j, value)`` of row ``i``, in column order.
+
+        O(1) on the band store (column 0 wins over a colliding band slot,
+        as in ``entry``), O(n) on the dense store.
+        """
+        if self._rows is not None:
+            return [(j, x) for j, x in enumerate(self._rows[i]) if x]
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} outside {self.n}x{self.n} matrix")
+        col0, sub, diag, sup = self._band
+        cells = [(0, col0[i])]
+        if i >= 2:
+            cells.append((i - 1, sub[i]))
+        if i >= 1:
+            cells.append((i, diag[i]))
+        if i + 1 < self.n:
+            cells.append((i + 1, sup[i]))
+        return [(j, x) for j, x in cells if x]
+
+    def band(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """``(col0, sub, diag, sup)`` if every nonzero off column 0 lies on
+        the sub-, main or superdiagonal, else None.
+
+        O(n) on the band store, which has this shape by construction; the
+        dense store is scanned once.  Slots that collide with column 0
+        (``diag[0]``, ``sub[1]``) and ``sup[n-1]`` carry no entry.
+        """
+        if self._band is not None:
+            return self._band
+        zero = Fraction(0)
+        arrays = [[zero] * self.n for _ in range(4)]
+        for i in range(self.n):
+            for j, value in self.nonzeros(i):
+                slot = _band_slot(i, j)
+                if slot is None:
+                    return None
+                arrays[slot][i] = value
+        return tuple(tuple(a) for a in arrays)
+
     def nonzero_count(self) -> int:
-        return sum(1 for i in range(self.n) for x in self.row(i) if x)
+        return sum(len(self.nonzeros(i)) for i in range(self.n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StochasticMatrix):
@@ -386,25 +437,15 @@ def build(family: ChainFamily, layout: str | None = None) -> StochasticMatrix:
             rows[i][j] = value
         return StochasticMatrix.from_rows(rows, label=family.label)
     if layout == "banded":
-        zero = Fraction(0)
-        col0 = [zero] * n
-        sub = [zero] * n
-        diag = [zero] * n
-        sup = [zero] * n
+        arrays = [[Fraction(0)] * n for _ in range(4)]
         for (i, j), value in cells.items():
-            if j == 0:
-                col0[i] = value
-            elif j == i - 1:
-                sub[i] = value
-            elif j == i:
-                diag[i] = value
-            elif j == i + 1:
-                sup[i] = value
-            else:
+            slot = _band_slot(i, j)
+            if slot is None:
                 raise ParameterError(
                     f"cell ({i}, {j}) falls outside the column-0 + band pattern"
                 )
-        return StochasticMatrix.from_band(col0, sub, diag, sup, label=family.label)
+            arrays[slot][i] = value
+        return StochasticMatrix.from_band(*arrays, label=family.label)
     raise ParameterError(f"unknown layout {layout!r}")
 
 
@@ -435,23 +476,27 @@ class ValidationReport:
 
 
 def validate(m: StochasticMatrix) -> ValidationReport:
-    """Check nonnegativity, exact row sums, irreducibility, aperiodicity."""
+    """Check nonnegativity, exact row sums, irreducibility, aperiodicity.
+
+    Walks only the nonzero cells of each row, so it is O(nnz) on the band
+    store.
+    """
     n = m.n
     negative: list[tuple[int, int]] = []
     bad_sums: list[tuple[int, Fraction]] = []
     adjacency: list[list[int]] = []
     reverse: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        row = m.row(i)
         targets = []
-        for j, value in enumerate(row):
+        total = Fraction(0)
+        for j, value in m.nonzeros(i):
+            total += value
             if value < 0:
                 negative.append((i, j))
-            elif value > 0:
+            else:
                 targets.append(j)
                 reverse[j].append(i)
         adjacency.append(targets)
-        total = sum(row)
         if total != 1:
             bad_sums.append((i, total))
 

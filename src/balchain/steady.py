@@ -1,6 +1,8 @@
 """Stationary distributions by three independent routes.
 
-* solve_exact    -- fraction Gaussian elimination on the balance equations
+* solve_exact    -- exact fractions from the balance equations: an O(n)
+                    back-substitution when the chain is column 0 plus a
+                    tridiagonal band, fraction Gaussian elimination otherwise
 * power_iteration -- float fixed-point iteration of v <- v*P
 * simulate       -- seeded Monte Carlo trajectory counting
 
@@ -61,9 +63,50 @@ class SimulationResult:
 def solve_exact(m: StochasticMatrix) -> list[Fraction]:
     """Unique probability vector with pi*P == pi, as exact fractions.
 
-    Builds the transposed balance system (P^T - I) pi = 0, replaces the
-    first (redundant) equation with the normalization sum(pi) == 1, and
-    runs fraction Gaussian elimination with partial pivoting on magnitude.
+    Solves the balance equations of columns 1..n-1 together with the
+    normalization sum(pi) == 1.  When every nonzero off column 0 lies on
+    the tridiagonal band and every superdiagonal entry P[j-1][j] is
+    nonzero, the balance equation of column j >= 1 is the three-term
+    recurrence (the last term is absent at j == n-1)
+
+        P[j-1][j]*pi[j-1] + P[j][j]*pi[j] + P[j+1][j]*pi[j+1] == pi[j],
+
+    so pi is back-substituted from pi[n-1] = 1 in O(n) and then normalized.
+    Any other matrix goes to fraction Gaussian elimination.  Both routes
+    solve the same system, so they return equal fractions, and both raise
+    SolverError when it is singular.
+    """
+    band = m.band()
+    if m.n and band is not None and all(band[3][: m.n - 1]):
+        return _solve_band(band[1], band[2], band[3])
+    return _solve_gauss(m)
+
+
+def _solve_band(
+    sub: tuple[Fraction, ...], diag: tuple[Fraction, ...], sup: tuple[Fraction, ...]
+) -> list[Fraction]:
+    """Back-substitute the column balance recurrence; sup[:n-1] is nonzero."""
+    n = len(diag)
+    pi = [Fraction(0)] * n
+    pi[n - 1] = Fraction(1)
+    for j in range(n - 1, 0, -1):
+        inflow = pi[j] * (1 - diag[j])
+        if j + 1 < n:
+            inflow -= pi[j + 1] * sub[j + 1]
+        pi[j - 1] = inflow / sup[j - 1]
+    total = sum(pi)
+    if total == 0:
+        raise SolverError(
+            "singular balance system; the chain is not irreducible/aperiodic"
+        )
+    return [x / total for x in pi]
+
+
+def _solve_gauss(m: StochasticMatrix) -> list[Fraction]:
+    """Fraction Gaussian elimination with partial pivoting on magnitude.
+
+    Builds the transposed balance system (P^T - I) pi = 0 and replaces the
+    first (redundant) equation with the normalization sum(pi) == 1.
     """
     n = m.n
     one = Fraction(1)
@@ -105,7 +148,7 @@ def power_iteration(
     m: StochasticMatrix, tol: float = 1e-12, max_iter: int = 10**6
 ) -> tuple[list[float], int]:
     """Iterate v <- v*P from the uniform vector until the L1 change < tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -171,21 +214,27 @@ def simulate(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0 <= start < n:
         raise ValueError(f"start state {start} outside 0..{n - 1}")
+    targets = []
     cumulative = []
     for i in range(n):
+        cells = m.nonzeros(i)
+        if not cells:
+            raise ValueError(f"row {i} has no nonzero entry")
         acc = 0.0
         cum = []
-        for x in m.row(i):
+        for _, x in cells:
             acc += float(x)
             cum.append(acc)
-        cum[-1] = 1.0  # guard against float drift at the top end
+        # float drift at the top end goes to the last possible target
+        cum[-1] = 1.0
+        targets.append([j for j, _ in cells])
         cumulative.append(cum)
     rng = random.Random(seed)
     draw = rng.random
     visits = [0] * n
     state = start
     for _ in range(steps):
-        state = bisect_right(cumulative[state], draw())
+        state = targets[state][bisect_right(cumulative[state], draw())]
         visits[state] += 1
     empirical = tuple(v / steps for v in visits)
     return SimulationResult(

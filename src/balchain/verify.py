@@ -2,9 +2,11 @@
 
 For every chain family the stationary distribution has a closed form in
 balancing-type numbers.  ``verify_family`` recomputes it from the sequence
-recurrences and demands exact fraction equality with the independent
-Gaussian solver.  The truncation study bounds how fast the finite chains
-approach the infinite-state limit, with certified rational error bounds.
+recurrences and demands exact fraction equality with ``solve_exact``, which
+solves the balance equations from the matrix entries alone and so shares
+nothing with the sequence recurrences.  The truncation study bounds how
+fast the finite chains approach the infinite-state limit, with certified
+rational error bounds.
 """
 
 from __future__ import annotations

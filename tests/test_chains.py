@@ -255,3 +255,47 @@ def test_entry_bounds_checked():
         m.entry(3, 0)
     with pytest.raises(IndexError):
         m.entry(0, -1)
+
+
+def test_band_store_collisions_resolve_to_column_zero():
+    # diag[0] and sub[1] sit on column 0, where col0 wins; sup[n-1] is off
+    # the matrix; none of them is a cell of the matrix
+    z, h, k = R(0), R(1, 2), R(1, 4)
+    m = StochasticMatrix.from_band(
+        [h, h, R(5, 6)], [z, R(7), R(1, 6)], [R(9), k, z], [h, k, R(3)]
+    )
+    assert m.nonzeros(0) == [(0, h), (1, h)]
+    assert m.nonzeros(1) == [(0, h), (1, k), (2, k)]
+    assert m.nonzeros(2) == [(0, R(5, 6)), (1, R(1, 6))]
+    assert m.nonzero_count() == 7
+    dense = StochasticMatrix.from_rows(m.rows())
+    assert validate(m) == validate(dense)
+    assert validate(m).ok
+
+
+@pytest.mark.parametrize("family", all_families(), ids=lambda f: f.label)
+def test_band_shape_is_the_same_on_both_stores(family):
+    dense, banded = build(family, layout="dense"), build(family, layout="banded")
+    assert dense.band() == banded.band()
+    for i in range(dense.n):
+        assert dense.nonzeros(i) == banded.nonzeros(i)
+
+
+def test_band_shape_rejects_cells_off_the_pattern():
+    rows = [list(row) for row in build(balancing_chain(5)).rows()]
+    rows[1][3] = R(1, 100)
+    assert StochasticMatrix.from_rows(rows).band() is None
+
+
+def test_validate_reports_are_equal_on_both_stores():
+    cases = [build(f, layout=layout) for f in all_families() for layout in ("dense", "banded")]
+    # a broken band matrix: negative cells, bad sums, a state nobody enters
+    z = R(0)
+    cases.append(
+        StochasticMatrix.from_band(
+            [R(1), R(1, 2), R(1, 2), z], [z, z, R(-1, 4), R(1, 2)],
+            [z, R(1, 4), R(3, 4), R(1, 2)], [z, R(1, 4), z, z],
+        )
+    )
+    for m in cases:
+        assert validate(m) == validate(StochasticMatrix.from_rows(m.rows()))

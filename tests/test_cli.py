@@ -99,6 +99,15 @@ def test_solve_power_non_convergence_exit_code(capsys):
     assert json.loads(err)["error"]["code"] == 4
 
 
+def test_solve_power_nan_tolerance_is_a_parameter_error(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "balancing", "--n", "4", "--method", "power", "--tol", "nan"
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == 2
+
+
 def test_solve_simulate_deterministic(capsys):
     argv = [
         "solve", "balancing", "--n", "4",

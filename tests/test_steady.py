@@ -1,15 +1,22 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from balchain import steady
 from balchain.chains import (
     StochasticMatrix,
     balancing_chain,
+    balancing_chain_q,
     balancing_like_chain,
     build,
     lucas_chain,
     lucas_chain_q,
     lucas_cobalancing_chain,
+    matrix_from_json,
+    matrix_to_json,
     pell_ratio_chain,
 )
 from balchain.steady import (
@@ -17,6 +24,7 @@ from balchain.steady import (
     SolverError,
     n_step,
     power_iteration,
+    _solve_gauss,
     simulate,
     solve_exact,
 )
@@ -133,6 +141,8 @@ def test_power_iteration_parameter_checks():
     with pytest.raises(ValueError):
         power_iteration(m, tol=0.0)
     with pytest.raises(ValueError):
+        power_iteration(m, tol=float("nan"))
+    with pytest.raises(ValueError):
         power_iteration(m, max_iter=0)
 
 
@@ -213,3 +223,109 @@ def test_simulate_parameter_checks():
         simulate(m, steps=0, seed=1)
     with pytest.raises(ValueError):
         simulate(m, steps=10, seed=1, start=4)
+
+
+def solve_or_singular(solver, m):
+    try:
+        return solver(m)
+    except SolverError:
+        return "singular"
+
+
+# zero and negative cells included: the band route must match elimination
+# on any column-0 + band system, stochastic or not
+band_cells = st.sampled_from(
+    [R(0), R(0), R(1), R(1, 2), R(1, 3), R(1, 6), R(5, 6), R(-1, 4), R(3, 2)]
+)
+
+
+@st.composite
+def band_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    return [draw(st.lists(band_cells, min_size=n, max_size=n)) for _ in range(4)]
+
+
+@given(band_matrices())
+def test_band_route_equals_gaussian_elimination(arrays):
+    banded = StochasticMatrix.from_band(*arrays)
+    dense = StochasticMatrix.from_rows(banded.rows())
+    reference = solve_or_singular(_solve_gauss, dense)
+    for m in (banded, dense, matrix_from_json(matrix_to_json(banded))):
+        assert m.band() is not None
+        assert solve_or_singular(solve_exact, m) == reference
+
+
+def test_band_route_singular_system_raises_both_ways():
+    # pi = (-1, 1) solves both column equations, so sum(pi) == 0
+    m = StochasticMatrix.from_rows([[R(1, 2), R(1, 2)], [R(0), R(3, 2)]])
+    for solver in (solve_exact, _solve_gauss):
+        with pytest.raises(SolverError):
+            solver(m)
+
+
+def test_zero_superdiagonal_falls_back_to_elimination(monkeypatch):
+    # move row 1's upward step onto its diagonal: still band-shaped and
+    # stochastic, but the recurrence cannot divide by P[1][2] == 0
+    rows = [list(row) for row in build(balancing_chain(5)).rows()]
+    rows[1][2], rows[1][1] = R(0), R(1, 6)
+    m = StochasticMatrix.from_rows(rows)
+    expected = _solve_gauss(m)
+    calls = []
+    monkeypatch.setattr(steady, "_solve_gauss", lambda m: calls.append(m) or expected)
+    assert solve_exact(m) == expected
+    assert calls == [m]
+
+
+def test_full_matrix_solves_by_elimination(monkeypatch):
+    rows = [[R(1 + i + j, 10 + 4 * i) for j in range(4)] for i in range(4)]
+    m = StochasticMatrix.from_rows(rows)
+    assert m.band() is None
+    expected = _solve_gauss(m)
+    assert sum(expected) == 1
+    calls = []
+    monkeypatch.setattr(steady, "_solve_gauss", lambda m: calls.append(m) or expected)
+    assert solve_exact(m) == expected
+    assert calls == [m]
+
+
+@pytest.mark.parametrize("layout", ["dense", "banded"])
+@pytest.mark.parametrize("family", SOLVE_CASES, ids=lambda f: f.label)
+def test_families_take_the_band_route(monkeypatch, family, layout):
+    m = build(family, layout=layout)
+    expected = _solve_gauss(m)
+
+    def no_elimination(m):
+        raise AssertionError("band-shaped chain fell back to elimination")
+
+    monkeypatch.setattr(steady, "_solve_gauss", no_elimination)
+    assert solve_exact(m) == expected
+
+
+class _TopDraw:
+    """Stands in for random.Random: every draw is the largest float < 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "family", [lucas_cobalancing_chain(6), balancing_chain_q(6, R(1, 7))],
+    ids=lambda f: f.label,
+)
+def test_simulate_float_drift_stays_on_possible_targets(monkeypatch, family):
+    # rows 2-4 sum to just below 1.0 in floats; a draw above that sum must
+    # land on the row's last nonzero target, never on a zero-probability one
+    monkeypatch.setattr(steady, "random", SimpleNamespace(Random=_TopDraw))
+    m = build(family)
+    for start in (2, 3, 4):
+        result = simulate(m, steps=1, seed=0, start=start)
+        assert result.visits[start + 1] == 1
+
+
+def test_simulate_rejects_a_row_without_targets():
+    m = StochasticMatrix.from_rows([[R(1), R(0)], [R(0), R(0)]])
+    with pytest.raises(ValueError):
+        simulate(m, steps=10, seed=1)
