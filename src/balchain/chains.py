@@ -5,9 +5,15 @@ state 0" column: the nonzero pattern is column 0 plus a tridiagonal band.
 Stationary distributions of these chains are ratios of balancing-type
 numbers, which is what the rest of the package verifies.
 
-Matrices with at most ``DENSE_LIMIT`` states are stored as dense rows;
-larger ones keep only the column-0 and band diagonals.  Both stores yield
-identical entries, so downstream solvers cannot tell them apart.
+All kinds share one shape, built by ``_cells`` from a multiplier ``a`` (6
+unless the kind takes one), a step probability ``q`` and a boundary that
+rewrites the last rows; a q-free kind is its q-family at ``q = 1/a``.
+Everything else the package knows about a kind (size minimum, parameters,
+closed form, note) is its row of ``KINDS``, so adding a family means adding
+one registry row.
+
+A matrix keeps the nonzero cells of each row in column order, so walking
+it is O(nnz) whether it was built from a family or read from dense rows.
 """
 
 from __future__ import annotations
@@ -20,9 +26,11 @@ from math import gcd
 __all__ = [
     "ParameterError",
     "ChainFamily",
+    "FamilyKind",
+    "KINDS",
     "StochasticMatrix",
     "ValidationReport",
-    "DENSE_LIMIT",
+    "family",
     "balancing_chain",
     "balancing_chain_q",
     "pell_ratio_chain",
@@ -40,10 +48,7 @@ __all__ = [
     "matrix_from_json",
 ]
 
-DENSE_LIMIT = 64
-
-_KINDS_WITH_A = {"balancing-like", "balancing-like-q"}
-_KINDS_WITH_Q = {"balancing-q", "lucas-q", "truncated-infinite-q", "balancing-like-q"}
+_ZERO = Fraction(0)
 
 
 class ParameterError(ValueError):
@@ -74,379 +79,305 @@ class ChainFamily:
         return f"{self.kind}({','.join(parts)})"
 
 
-def _check_n(kind: str, n: int, minimum: int) -> None:
-    if n < minimum:
-        raise ParameterError(f"{kind} needs n >= {minimum}, got {n}")
+@dataclass(frozen=True)
+class FamilyKind:
+    """One registered chain family.
+
+    ``boundary`` names how ``_cells`` rewrites the last rows: "edge",
+    "reflect", "lucas" or "lucas-cobalancing".  ``x0`` fixes the closed
+    form: pi[i] is x(n-i)/sum(x(1)..x(n)) for the recurrence
+    x(k+1) = coeff*x(k) - x(k-1) with x(1) = 1 and x(0) = x0.  ``note`` is
+    the remark verify reports with every instance.
+    """
+
+    name: str
+    boundary: str
+    min_n: int
+    takes_a: bool
+    takes_q: bool
+    x0: int
+    note: str
 
 
-def _check_q(kind: str, q: Fraction, coeff: int) -> Fraction:
-    q = Fraction(q)
-    if not 0 < q <= Fraction(1, coeff):
-        raise ParameterError(f"{kind} needs 0 < q <= 1/{coeff}, got {q}")
-    return q
+_REVERSED_INDEX_NOTE = (
+    "entries are proportional to the reversed sequence ({first}..{last}); the "
+    "forward-indexed variant {variant} contradicts the boundary balance "
+    "equation pi[n-2] = {ratio}*pi[n-1]"
+)
 
 
-def _check_a(kind: str, a: int) -> None:
-    if a < 2:
+def _same_as(base: str, bound: str) -> str:
+    return f"same stationary vector as the q-free {base} chain for every 0 < q <= {bound}"
+
+
+KINDS = {
+    kind.name: kind
+    for kind in (
+        FamilyKind(
+            "balancing", "edge", 3, False, False, 0,
+            "entries 2*B(n-i)/b(n+1): reversed balancing numbers over half the "
+            "(n+1)-st cobalancing number; the constant-in-i rendering 2*P(2n)/sum "
+            "only matches entry 0",
+        ),
+        FamilyKind("balancing-q", "edge", 3, False, True, 0, _same_as("balancing", "1/6")),
+        FamilyKind(
+            "pell-ratio", "reflect", 3, False, False, 1,
+            _REVERSED_INDEX_NOTE.format(
+                first="B(n)-B(n-1)",
+                last="B(1)-B(0)",
+                variant="(B(n+i)-B(n+i-1))/B(n)",
+                ratio=5,
+            )
+            + "; the constant-in-i rendering 2*P(2n-1)/P(2n) only matches entry 0",
+        ),
+        FamilyKind(
+            "lucas", "lucas", 3, False, False, 3,
+            _REVERSED_INDEX_NOTE.format(
+                first="C(n-1)", last="C(0)", variant="C(n-i)/sum(C(1)..C(n))", ratio=3
+            ),
+        ),
+        FamilyKind("lucas-q", "lucas", 3, False, True, 3, _same_as("lucas", "1/6")),
+        # rows 1 and n-2 are both special, so they must not coincide
+        FamilyKind(
+            "lucas-cobalancing", "lucas-cobalancing", 4, False, False, -1,
+            _REVERSED_INDEX_NOTE.format(
+                first="c(n-1)", last="c(0)", variant="c(n-i)/sum(c(1)..c(n))", ratio=7
+            ),
+        ),
+        # the infinite chain truncates to exactly the pell-ratio matrix
+        FamilyKind(
+            "truncated-infinite", "reflect", 3, False, False, 1,
+            "finite reflection of the infinite-state chain; identical matrix and "
+            "vector to pell-ratio",
+        ),
+        FamilyKind(
+            "truncated-infinite-q", "reflect", 3, False, True, 1,
+            _same_as("truncated", "1/6"),
+        ),
+        FamilyKind(
+            "balancing-like", "edge", 3, True, False, 0,
+            "entries x(n-i)/sum(x(1)..x(n)) for the order-a sequence",
+        ),
+        FamilyKind(
+            "balancing-like-q", "edge", 3, True, True, 0, _same_as("balancing-like", "1/a")
+        ),
+    )
+}
+
+
+def family(
+    kind: str, n: int, a: int | None = None, q: Fraction | None = None
+) -> ChainFamily:
+    """A validated instance of a registered kind.
+
+    ``a`` and ``q`` are dropped when the kind does not take them and
+    required when it does; n, a and q are checked in that order.
+    """
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise ParameterError(f"unknown chain family {kind!r}")
+    if n < spec.min_n:
+        raise ParameterError(f"{kind} needs n >= {spec.min_n}, got {n}")
+    if not spec.takes_a:
+        a = None
+    elif a is None:
+        raise ParameterError(f"{kind} needs the multiplier a")
+    elif a < 2:
         raise ParameterError(f"{kind} needs a >= 2, got {a}")
+    if not spec.takes_q:
+        q = None
+    elif q is None:
+        raise ParameterError(f"{kind} needs the step probability q")
+    else:
+        coeff = 6 if a is None else a
+        q = Fraction(q)
+        if not 0 < q <= Fraction(1, coeff):
+            raise ParameterError(f"{kind} needs 0 < q <= 1/{coeff}, got {q}")
+    return ChainFamily(kind, n, a, q)
 
 
 def balancing_chain(n: int) -> ChainFamily:
-    _check_n("balancing", n, 3)
-    return ChainFamily("balancing", n)
+    return family("balancing", n)
 
 
 def balancing_chain_q(n: int, q: Fraction) -> ChainFamily:
-    _check_n("balancing-q", n, 3)
-    return ChainFamily("balancing-q", n, q=_check_q("balancing-q", q, 6))
+    return family("balancing-q", n, q=q)
 
 
 def pell_ratio_chain(n: int) -> ChainFamily:
-    _check_n("pell-ratio", n, 3)
-    return ChainFamily("pell-ratio", n)
+    return family("pell-ratio", n)
 
 
 def lucas_chain(n: int) -> ChainFamily:
-    _check_n("lucas", n, 3)
-    return ChainFamily("lucas", n)
+    return family("lucas", n)
 
 
 def lucas_chain_q(n: int, q: Fraction) -> ChainFamily:
-    _check_n("lucas-q", n, 3)
-    return ChainFamily("lucas-q", n, q=_check_q("lucas-q", q, 6))
+    return family("lucas-q", n, q=q)
 
 
 def lucas_cobalancing_chain(n: int) -> ChainFamily:
-    # rows 1 and n-2 are both special, so they must not coincide
-    _check_n("lucas-cobalancing", n, 4)
-    return ChainFamily("lucas-cobalancing", n)
+    return family("lucas-cobalancing", n)
 
 
 def truncated_infinite_chain(n: int) -> ChainFamily:
-    _check_n("truncated-infinite", n, 3)
-    return ChainFamily("truncated-infinite", n)
+    return family("truncated-infinite", n)
 
 
 def truncated_infinite_chain_q(n: int, q: Fraction) -> ChainFamily:
-    _check_n("truncated-infinite-q", n, 3)
-    return ChainFamily(
-        "truncated-infinite-q", n, q=_check_q("truncated-infinite-q", q, 6)
-    )
+    return family("truncated-infinite-q", n, q=q)
 
 
 def balancing_like_chain(n: int, a: int) -> ChainFamily:
-    _check_n("balancing-like", n, 3)
-    _check_a("balancing-like", a)
-    return ChainFamily("balancing-like", n, a=a)
+    return family("balancing-like", n, a)
 
 
 def balancing_like_chain_q(n: int, a: int, q: Fraction) -> ChainFamily:
-    _check_n("balancing-like-q", n, 3)
-    _check_a("balancing-like-q", a)
-    return ChainFamily(
-        "balancing-like-q", n, a=a, q=_check_q("balancing-like-q", q, a)
-    )
+    return family("balancing-like-q", n, a, q)
 
 
-def _band_slot(i: int, j: int) -> int | None:
-    """Index of cell (i, j) in (col0, sub, diag, sup), or None off the pattern."""
-    if j == 0:
-        return 0
-    slot = j - i + 2
-    return slot if 1 <= slot <= 3 else None
+def _nonzero(cells) -> dict[int, Fraction]:
+    out = {}
+    for j, x in cells:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x:
+            out[j] = x
+    return out
 
 
 class StochasticMatrix:
-    """Square matrix of exact fractions, dense or band-compressed.
-
-    The band store keeps column 0 plus the three band diagonals; lookups
-    resolve column 0 first, so boundary rows whose band slot would collide
-    with column 0 stay unambiguous.
-    """
+    """Square matrix of exact fractions, kept as the nonzero cells of each
+    row in column order."""
 
     def __init__(self) -> None:
-        raise TypeError("use StochasticMatrix.from_rows or from_band")
+        raise TypeError("use StochasticMatrix.from_rows or from_cells")
 
     @classmethod
     def from_rows(
         cls, rows: list[list[Fraction]], label: str = ""
     ) -> "StochasticMatrix":
+        """Matrix from dense rows."""
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        self = object.__new__(cls)
-        self.n = n
-        self.label = label
-        self._rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        self._band = None
-        return self
+        return cls._new(n, [enumerate(row) for row in rows], label)
 
     @classmethod
-    def from_band(
-        cls,
-        col0: list[Fraction],
-        sub: list[Fraction],
-        diag: list[Fraction],
-        sup: list[Fraction],
-        label: str = "",
+    def from_cells(
+        cls, n: int, cells: dict[tuple[int, int], Fraction], label: str = ""
     ) -> "StochasticMatrix":
-        n = len(col0)
-        if not (len(sub) == len(diag) == len(sup) == n):
-            raise ValueError("band arrays must all have length n")
+        """Size-n matrix from a ``{(i, j): value}`` map; absent cells are 0."""
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        for (i, j), x in cells.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise IndexError(f"cell ({i}, {j}) outside {n}x{n} matrix")
+            rows[i].append((j, x))
+        return cls._new(n, [sorted(row) for row in rows], label)
+
+    @classmethod
+    def _new(cls, n: int, rows: list, label: str) -> "StochasticMatrix":
+        """Store rows of ``(j, value)`` pairs in column order, zeros left out."""
         self = object.__new__(cls)
         self.n = n
         self.label = label
-        self._rows = None
-        self._band = (tuple(col0), tuple(sub), tuple(diag), tuple(sup))
+        self._rows = tuple(_nonzero(row) for row in rows)
         return self
-
-    @property
-    def is_dense(self) -> bool:
-        return self._rows is not None
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) outside {self.n}x{self.n} matrix")
-        if self._rows is not None:
-            return self._rows[i][j]
-        col0, sub, diag, sup = self._band
-        if j == 0:
-            return col0[i]
-        if j == i - 1:
-            return sub[i]
-        if j == i:
-            return diag[i]
-        if j == i + 1:
-            return sup[i]
-        return Fraction(0)
+        return self._rows[i].get(j, _ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        if self._rows is not None:
-            return self._rows[i]
-        row = [Fraction(0)] * self.n
-        for j, value in self.nonzeros(i):
-            row[j] = value
+        row = [_ZERO] * self.n
+        for j, x in self._rows[i].items():
+            row[j] = x
         return tuple(row)
 
     def rows(self) -> list[tuple[Fraction, ...]]:
         return [self.row(i) for i in range(self.n)]
 
     def nonzeros(self, i: int) -> list[tuple[int, Fraction]]:
-        """The nonzero cells ``(j, value)`` of row ``i``, in column order.
-
-        O(1) on the band store (column 0 wins over a colliding band slot,
-        as in ``entry``), O(n) on the dense store.
-        """
-        if self._rows is not None:
-            return [(j, x) for j, x in enumerate(self._rows[i]) if x]
-        if not 0 <= i < self.n:
-            raise IndexError(f"row {i} outside {self.n}x{self.n} matrix")
-        col0, sub, diag, sup = self._band
-        cells = [(0, col0[i])]
-        if i >= 2:
-            cells.append((i - 1, sub[i]))
-        if i >= 1:
-            cells.append((i, diag[i]))
-        if i + 1 < self.n:
-            cells.append((i + 1, sup[i]))
-        return [(j, x) for j, x in cells if x]
+        """The nonzero cells ``(j, value)`` of row ``i``, in column order."""
+        return list(self._rows[i].items())
 
     def band(self) -> tuple[tuple[Fraction, ...], ...] | None:
         """``(col0, sub, diag, sup)`` if every nonzero off column 0 lies on
         the sub-, main or superdiagonal, else None.
 
-        O(n) on the band store, which has this shape by construction; the
-        dense store is scanned once.  Slots that collide with column 0
-        (``diag[0]``, ``sub[1]``) and ``sup[n-1]`` carry no entry.
+        Column 0 takes its cells first, so ``diag[0]``, ``sub[1]`` and
+        ``sup[n-1]`` are always zero.
         """
-        if self._band is not None:
-            return self._band
-        zero = Fraction(0)
-        arrays = [[zero] * self.n for _ in range(4)]
-        for i in range(self.n):
-            for j, value in self.nonzeros(i):
-                slot = _band_slot(i, j)
-                if slot is None:
+        arrays = [[_ZERO] * self.n for _ in range(4)]
+        for i, cells in enumerate(self._rows):
+            for j, x in cells.items():
+                if j == 0:
+                    slot = 0
+                elif abs(j - i) <= 1:
+                    slot = j - i + 2
+                else:
                     return None
-                arrays[slot][i] = value
+                arrays[slot][i] = x
         return tuple(tuple(a) for a in arrays)
 
     def nonzero_count(self) -> int:
-        return sum(len(self.nonzeros(i)) for i in range(self.n))
+        return sum(len(cells) for cells in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StochasticMatrix):
             return NotImplemented
-        return self.n == other.n and all(
-            self.row(i) == other.row(i) for i in range(self.n)
-        )
+        return self.n == other.n and self._rows == other._rows
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        store = "dense" if self.is_dense else "banded"
         name = self.label or "matrix"
-        return f"<StochasticMatrix {name} {self.n}x{self.n} {store}>"
+        return f"<StochasticMatrix {name} {self.n}x{self.n} nnz={self.nonzero_count()}>"
 
 
-def _cells_balancing(n: int) -> dict[tuple[int, int], Fraction]:
-    r = Fraction
-    cells = {(0, 0): r(5, 6), (0, 1): r(1, 6), (1, 0): r(5, 6), (1, 2): r(1, 6)}
-    for i in range(2, n - 1):
-        cells[(i, 0)] = r(2, 3)
-        cells[(i, i - 1)] = r(1, 6)
-        cells[(i, i + 1)] = r(1, 6)
-    cells[(n - 1, 0)] = r(5, 6)
-    cells[(n - 1, n - 2)] = r(1, 6)
-    return cells
+def _cells(n: int, a: int, q: Fraction, boundary: str) -> dict[tuple[int, int], Fraction]:
+    """Cells of the size-n chain with multiplier a and step q.
 
-
-def _cells_balancing_q(n: int, q: Fraction) -> dict[tuple[int, int], Fraction]:
-    cells = {(0, 0): 1 - q, (0, 1): q, (1, 0): 5 * q, (1, 1): 1 - 6 * q, (1, 2): q}
-    for i in range(2, n - 1):
-        cells[(i, 0)] = 4 * q
-        cells[(i, i - 1)] = q
-        cells[(i, i)] = 1 - 6 * q
-        cells[(i, i + 1)] = q
-    cells[(n - 1, 0)] = 5 * q
-    cells[(n - 1, n - 2)] = q
-    cells[(n - 1, n - 1)] = 1 - 6 * q
-    return cells
-
-
-def _cells_pell_ratio(n: int) -> dict[tuple[int, int], Fraction]:
-    r = Fraction
-    cells = {(0, 0): r(5, 6), (0, 1): r(1, 6), (1, 0): r(5, 6), (1, 2): r(1, 6)}
-    for i in range(2, n - 1):
-        cells[(i, 0)] = r(2, 3)
-        cells[(i, i - 1)] = r(1, 6)
-        cells[(i, i + 1)] = r(1, 6)
-    cells[(n - 1, 0)] = r(2, 3)
-    cells[(n - 1, n - 2)] = r(1, 6)
-    cells[(n - 1, n - 1)] = r(1, 6)
-    return cells
-
-
-def _cells_truncated_infinite_q(n: int, q: Fraction) -> dict[tuple[int, int], Fraction]:
-    cells = _cells_balancing_q(n, q)
-    # reflecting last row: the stay probability absorbs the cut-off upward move
-    cells[(n - 1, 0)] = 4 * q
-    cells[(n - 1, n - 2)] = q
-    cells[(n - 1, n - 1)] = 1 - 5 * q
-    return cells
-
-
-def _cells_lucas(n: int) -> dict[tuple[int, int], Fraction]:
-    r = Fraction
-    cells = _cells_pell_ratio(n)
-    cells[(n - 1, 0)] = r(1, 3)
-    cells[(n - 1, n - 2)] = r(1, 6)
-    cells[(n - 1, n - 1)] = r(1, 2)
-    return cells
-
-
-def _cells_lucas_q(n: int, q: Fraction) -> dict[tuple[int, int], Fraction]:
-    cells = _cells_balancing_q(n, q)
-    cells[(n - 1, 0)] = 2 * q
-    cells[(n - 1, n - 2)] = q
-    cells[(n - 1, n - 1)] = 1 - 3 * q
-    return cells
-
-
-def _cells_lucas_cobalancing(n: int) -> dict[tuple[int, int], Fraction]:
-    r = Fraction
-    cells = {(0, 0): r(5, 6), (0, 1): r(1, 6), (1, 0): r(5, 6), (1, 2): r(1, 6)}
-    for i in range(2, n - 2):
-        cells[(i, 0)] = r(2, 3)
-        cells[(i, i - 1)] = r(1, 6)
-        cells[(i, i + 1)] = r(1, 6)
-    cells[(n - 2, 0)] = r(16, 21)
-    cells[(n - 2, n - 3)] = r(1, 6)
-    cells[(n - 2, n - 1)] = r(1, 14)
-    cells[(n - 1, 0)] = r(1, 3)
-    cells[(n - 1, n - 2)] = r(1, 6)
-    cells[(n - 1, n - 1)] = r(1, 2)
-    return cells
-
-
-def _cells_balancing_like(n: int, a: int) -> dict[tuple[int, int], Fraction]:
-    step = Fraction(1, a)
-    edge = 1 - step
-    inner = 1 - 2 * step
-    cells = {(0, 0): edge, (0, 1): step, (1, 0): edge, (1, 2): step}
-    for i in range(2, n - 1):
-        cells[(i, 0)] = inner
-        cells[(i, i - 1)] = step
-        cells[(i, i + 1)] = step
-    cells[(n - 1, 0)] = edge
-    cells[(n - 1, n - 2)] = step
-    return cells
-
-
-def _cells_balancing_like_q(
-    n: int, a: int, q: Fraction
-) -> dict[tuple[int, int], Fraction]:
-    cells = {
-        (0, 0): 1 - q,
-        (0, 1): q,
-        (1, 0): (a - 1) * q,
-        (1, 1): 1 - a * q,
-        (1, 2): q,
-    }
-    for i in range(2, n - 1):
-        cells[(i, 0)] = (a - 2) * q
-        cells[(i, i - 1)] = q
-        cells[(i, i)] = 1 - a * q
-        cells[(i, i + 1)] = q
-    cells[(n - 1, 0)] = (a - 1) * q
-    cells[(n - 1, n - 2)] = q
-    cells[(n - 1, n - 1)] = 1 - a * q
-    return cells
-
-
-_BUILDERS = {
-    "balancing": lambda f: _cells_balancing(f.n),
-    "balancing-q": lambda f: _cells_balancing_q(f.n, f.q),
-    "pell-ratio": lambda f: _cells_pell_ratio(f.n),
-    "lucas": lambda f: _cells_lucas(f.n),
-    "lucas-q": lambda f: _cells_lucas_q(f.n, f.q),
-    "lucas-cobalancing": lambda f: _cells_lucas_cobalancing(f.n),
-    # the infinite chain truncates to exactly the pell-ratio matrix
-    "truncated-infinite": lambda f: _cells_pell_ratio(f.n),
-    "truncated-infinite-q": lambda f: _cells_truncated_infinite_q(f.n, f.q),
-    "balancing-like": lambda f: _cells_balancing_like(f.n, f.a),
-    "balancing-like-q": lambda f: _cells_balancing_like_q(f.n, f.a, f.q),
-}
-
-
-def build(family: ChainFamily, layout: str | None = None) -> StochasticMatrix:
-    """Materialize a family instance as a StochasticMatrix.
-
-    ``layout`` forces "dense" or "banded" storage; by default matrices up to
-    DENSE_LIMIT states are dense and larger ones are band-compressed.
+    State 0 moves up with probability q and otherwise stays.  Every other
+    state steps down and up with probability q each, stays with 1 - a*q
+    and collapses to state 0 with the remaining (a - 2)*q; state 1's step
+    down is one more collapse.  The last state has no step up, and the
+    boundary says where that q goes.  At q = 1/a the stay cells are 0.
     """
-    if family.kind not in _BUILDERS:
+    collapse, stay = (a - 2) * q, 1 - a * q
+    cells = {(0, 0): 1 - q, (0, 1): q}
+    for i in range(1, n):
+        cells[i, 0] = collapse
+        cells[i, i - 1] = q
+        cells[i, i] = stay
+        if i + 1 < n:
+            cells[i, i + 1] = q
+    cells[1, 0] = collapse + q
+    last = n - 1
+    if boundary == "edge":  # to state 0
+        cells[last, 0] += q
+    elif boundary == "reflect":  # it stays
+        cells[last, last] += q
+    else:  # it stays, and so does 2q of the collapse (a = 6)
+        if boundary == "lucas-cobalancing":
+            # the step up into the last state shrinks to 3q/7
+            cells[last - 1, last] = 3 * q / 7
+            cells[last - 1, 0] += 4 * q / 7
+        cells[last, 0] = 2 * q
+        cells[last, last] = 1 - 3 * q
+    return cells
+
+
+def build(family: ChainFamily) -> StochasticMatrix:
+    """Materialize a family instance as a StochasticMatrix."""
+    spec = KINDS.get(family.kind)
+    if spec is None:
         raise ParameterError(f"unknown chain family {family.kind!r}")
-    cells = _BUILDERS[family.kind](family)
-    n = family.n
-    if layout is None:
-        layout = "dense" if n <= DENSE_LIMIT else "banded"
-    if layout == "dense":
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), value in cells.items():
-            rows[i][j] = value
-        return StochasticMatrix.from_rows(rows, label=family.label)
-    if layout == "banded":
-        arrays = [[Fraction(0)] * n for _ in range(4)]
-        for (i, j), value in cells.items():
-            slot = _band_slot(i, j)
-            if slot is None:
-                raise ParameterError(
-                    f"cell ({i}, {j}) falls outside the column-0 + band pattern"
-                )
-            arrays[slot][i] = value
-        return StochasticMatrix.from_band(*arrays, label=family.label)
-    raise ParameterError(f"unknown layout {layout!r}")
+    coeff = family.coeff
+    q = family.q if spec.takes_q else Fraction(1, coeff)
+    cells = _cells(family.n, coeff, q, spec.boundary)
+    return StochasticMatrix.from_cells(family.n, cells, label=family.label)
 
 
 @dataclass
@@ -478,8 +409,7 @@ class ValidationReport:
 def validate(m: StochasticMatrix) -> ValidationReport:
     """Check nonnegativity, exact row sums, irreducibility, aperiodicity.
 
-    Walks only the nonzero cells of each row, so it is O(nnz) on the band
-    store.
+    Walks only the nonzero cells of each row, so it is O(nnz).
     """
     n = m.n
     negative: list[tuple[int, int]] = []
@@ -552,10 +482,42 @@ def matrix_to_json(m: StochasticMatrix) -> str:
     return json.dumps(payload)
 
 
+def _parse_cell(cell: object) -> Fraction:
+    if type(cell) is int:
+        return Fraction(cell)
+    if isinstance(cell, str):
+        try:
+            return Fraction(cell)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParameterError(
+        f"matrix cell {cell!r} is neither an integer nor a string holding an "
+        "exact number like \"1/6\""
+    )
+
+
 def matrix_from_json(text: str) -> StochasticMatrix:
-    payload = json.loads(text)
-    n = payload["n"]
-    rows = [[Fraction(cell) for cell in row] for row in payload["rows"]]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, found {len(rows)}")
-    return StochasticMatrix.from_rows(rows, label=payload.get("family", ""))
+    """Read a ``matrix_to_json`` payload: ``{"n": n, "rows": [[cell, ...], ...]}``.
+
+    A cell is a JSON integer or a string that parses as an exact fraction
+    ("num/den", an integer or a decimal).  JSON floats are rejected because
+    they are binary approximations; every malformed payload raises
+    ParameterError.
+    """
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ParameterError(f"matrix file is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParameterError("matrix file must hold a JSON object")
+    n, rows, label = payload.get("n"), payload.get("rows"), payload.get("family", "")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f'matrix "n" must be a positive integer, got {n!r}')
+    square = isinstance(rows, list) and len(rows) == n
+    if not (square and all(isinstance(row, list) and len(row) == n for row in rows)):
+        raise ParameterError(f'matrix "rows" must be {n} lists of {n} cells')
+    if not isinstance(label, str):
+        raise ParameterError(f'matrix "family" must be a string, got {label!r}')
+    return StochasticMatrix.from_rows(
+        [[_parse_cell(cell) for cell in row] for row in rows], label=label
+    )

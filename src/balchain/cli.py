@@ -15,24 +15,18 @@ from fractions import Fraction
 from pathlib import Path
 
 from .chains import (
+    KINDS,
     ChainFamily,
     ParameterError,
-    balancing_chain,
-    balancing_chain_q,
-    balancing_like_chain,
-    balancing_like_chain_q,
+    StochasticMatrix,
     build,
-    lucas_chain,
-    lucas_chain_q,
-    lucas_cobalancing_chain,
+    family,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
-    pell_ratio_chain,
-    truncated_infinite_chain,
-    truncated_infinite_chain_q,
+    validate,
 )
-from .quadratic import beta_power_identity, float_upper, silver_ratio_gap
+from .quadratic import float_upper, silver_ratio_gap
 from .sequences import NAMED_KINDS, balancing_like, sequence
 from .steady import (
     ConvergenceError,
@@ -44,7 +38,15 @@ from .steady import (
     solve_exact,
     vector_to_csv,
 )
-from .verify import q_invariance, truncation_convergence, verify_family
+from .verify import (
+    beta_power_row,
+    q_invariance,
+    q_invariance_row,
+    report_row,
+    rows_to_csv,
+    truncation_convergence,
+    verify_family,
+)
 
 __all__ = ["main", "entry"]
 
@@ -54,19 +56,8 @@ EXIT_VERIFY_FAILED = 3
 EXIT_SOLVER = 4
 
 _SEQ_KINDS = (*NAMED_KINDS, "balancing-like")
-_CHAIN_FAMILIES = (
-    "balancing",
-    "balancing-q",
-    "pell-ratio",
-    "lucas",
-    "lucas-q",
-    "lucas-cobalancing",
-    "truncated-infinite",
-    "truncated-infinite-q",
-    "balancing-like",
-    "balancing-like-q",
-)
-_FAMILY_MINIMUM = {kind: 4 if kind == "lucas-cobalancing" else 3 for kind in _CHAIN_FAMILIES}
+# multipliers of the order-a kinds in the verify --all sweep
+_SWEEP_MULTIPLIERS = (2, 3, 4, 6, 10)
 
 
 class UsageError(Exception):
@@ -94,14 +85,14 @@ def _build_parser() -> _Parser:
     _add_io_flags(p_seq)
 
     p_chain = subs.add_parser("chain", help="emit a transition matrix")
-    p_chain.add_argument("family", choices=_CHAIN_FAMILIES)
+    p_chain.add_argument("family", choices=tuple(KINDS))
     p_chain.add_argument("--n", type=int, required=True)
     p_chain.add_argument("--a", type=int, default=None)
     p_chain.add_argument("--q", default=None, help='fraction like "1/7"')
     _add_io_flags(p_chain)
 
     p_solve = subs.add_parser("solve", help="stationary distribution of a chain")
-    p_solve.add_argument("family", nargs="?", choices=_CHAIN_FAMILIES)
+    p_solve.add_argument("family", nargs="?", choices=tuple(KINDS))
     p_solve.add_argument("--n", type=int, default=None)
     p_solve.add_argument("--a", type=int, default=None)
     p_solve.add_argument("--q", default=None)
@@ -115,7 +106,7 @@ def _build_parser() -> _Parser:
     _add_io_flags(p_solve)
 
     p_verify = subs.add_parser("verify", help="check closed forms against the solver")
-    p_verify.add_argument("family", nargs="?", choices=_CHAIN_FAMILIES)
+    p_verify.add_argument("family", nargs="?", choices=tuple(KINDS))
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument(
         "--beta-powers",
@@ -149,26 +140,12 @@ def _parse_q(text: str) -> Fraction:
 def _make_family(kind: str, n: int | None, a: int | None, q: str | None) -> ChainFamily:
     if n is None:
         raise UsageError(f"family {kind} requires --n")
-    needs_a = kind in ("balancing-like", "balancing-like-q")
-    needs_q = kind.endswith("-q")
-    if needs_a and a is None:
+    spec = KINDS[kind]
+    if spec.takes_a and a is None:
         raise UsageError(f"family {kind} requires --a")
-    if needs_q and q is None:
+    if spec.takes_q and q is None:
         raise UsageError(f"family {kind} requires --q")
-    q_val = _parse_q(q) if needs_q else None
-    factories = {
-        "balancing": lambda: balancing_chain(n),
-        "balancing-q": lambda: balancing_chain_q(n, q_val),
-        "pell-ratio": lambda: pell_ratio_chain(n),
-        "lucas": lambda: lucas_chain(n),
-        "lucas-q": lambda: lucas_chain_q(n, q_val),
-        "lucas-cobalancing": lambda: lucas_cobalancing_chain(n),
-        "truncated-infinite": lambda: truncated_infinite_chain(n),
-        "truncated-infinite-q": lambda: truncated_infinite_chain_q(n, q_val),
-        "balancing-like": lambda: balancing_like_chain(n, a),
-        "balancing-like-q": lambda: balancing_like_chain_q(n, a, q_val),
-    }
-    return factories[kind]()
+    return family(kind, n, a, _parse_q(q) if spec.takes_q else None)
 
 
 def _cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
@@ -193,9 +170,24 @@ def _cmd_chain(args: argparse.Namespace) -> tuple[str, int]:
     return matrix_to_csv(matrix), EXIT_OK
 
 
+def _require_chain(matrix: StochasticMatrix) -> None:
+    """Reject a matrix file that is not an irreducible stochastic matrix."""
+    report = validate(matrix)
+    if report.negative_entries:
+        i, j = report.negative_entries[0]
+        raise ParameterError(f"matrix entry ({i}, {j}) is negative: {matrix.entry(i, j)}")
+    if report.bad_row_sums:
+        i, total = report.bad_row_sums[0]
+        raise ParameterError(f"matrix row {i} sums to {total}, not 1")
+    if not report.irreducible:
+        state = (report.unreachable or report.non_returning)[0]
+        raise SolverError(f"the chain is reducible: states 0 and {state} do not communicate")
+
+
 def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     if args.matrix_file:
         matrix = matrix_from_json(Path(args.matrix_file).read_text())
+        _require_chain(matrix)
     elif args.family:
         matrix = build(_make_family(args.family, args.n, args.a, args.q))
     else:
@@ -230,94 +222,37 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     return vector_to_csv(list(result.empirical)), EXIT_OK
 
 
-def _summary_row(
-    family: str, n: int, params: dict, ok: bool, max_gap: str, notes: str = ""
-) -> dict:
-    return {
-        "family": family,
-        "n": n,
-        "params": params,
-        "exact_match": ok,
-        "max_gap": max_gap,
-        "notes": notes,
-    }
-
-
-def _report_row(report) -> dict:
-    params: dict = {}
-    if report.family.a is not None:
-        params["a"] = report.family.a
-    if report.family.q is not None:
-        params["q"] = str(report.family.q)
-    return _summary_row(
-        report.family.kind,
-        report.family.n,
-        params,
-        report.exact_match,
-        str(report.max_gap),
-        report.notes,
-    )
-
-
 def _verify_range(kind: str, sizes: range, a: int | None, q: str | None) -> list[dict]:
-    return [
-        _report_row(verify_family(_make_family(kind, n, a, q))) for n in sizes
-    ]
-
-
-def _q_invariance_row(kind: str, n: int, q_values: list[Fraction], a: int | None) -> dict:
-    report = q_invariance(n, q_values, kind, a=a)
-    params: dict = {"q": [str(q) for q in report.q_values]}
-    if a is not None:
-        params["a"] = a
-    return _summary_row(
-        f"q-invariance:{kind}",
-        n,
-        params,
-        report.identical and report.matches_base,
-        "0" if report.identical and report.matches_base else "mismatch",
-        "stationary vector is identical across all listed q",
-    )
-
-
-def _beta_power_row(max_n: int) -> dict:
-    ok = all(beta_power_identity(k) for k in range(1, max_n + 1))
-    return _summary_row(
-        "beta-power-identity",
-        max_n,
-        {},
-        ok,
-        "0" if ok else "mismatch",
-        "BETA**(n+1) == BETA*B[n+1] - B[n] checked exactly in Z[sqrt(2)]",
-    )
+    return [report_row(verify_family(_make_family(kind, n, a, q))) for n in sizes]
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     rows: list[dict] = []
     if args.beta_powers:
-        rows.append(_beta_power_row(args.max_n or 100))
+        rows.append(beta_power_row(args.max_n or 100))
     elif args.all:
         max_n = args.max_n or 25
-        for kind in ("balancing", "pell-ratio", "lucas", "truncated-infinite"):
-            rows.extend(_verify_range(kind, range(3, max_n + 1), None, None))
-        rows.extend(_verify_range("lucas-cobalancing", range(4, max_n + 1), None, None))
-        for a in (2, 3, 4, 6, 10):
-            rows.extend(_verify_range("balancing-like", range(3, max_n + 1), a, None))
-        sixths = [Fraction(1, 6), Fraction(1, 7), Fraction(1, 100)]
-        rows.append(_q_invariance_row("balancing", 10, sixths, None))
-        rows.append(_q_invariance_row("lucas", 10, sixths, None))
-        rows.append(_q_invariance_row("truncated-infinite", 10, sixths, None))
-        rows.append(
-            _q_invariance_row(
-                "balancing-like", 10, [Fraction(1, 4), Fraction(1, 5), Fraction(1, 100)], 4
-            )
+        # every q-free kind from its minimum size, the order-a kinds last
+        base_kinds = sorted(
+            (spec for spec in KINDS.values() if not spec.takes_q),
+            key=lambda spec: (spec.takes_a, spec.min_n),
         )
-        rows.append(_beta_power_row(100))
+        for spec in base_kinds:
+            for a in _SWEEP_MULTIPLIERS if spec.takes_a else (None,):
+                rows.extend(_verify_range(spec.name, range(spec.min_n, max_n + 1), a, None))
+        # each q-family at n = 10 and q = 1/coeff, 1/(coeff + 1), 1/100
+        for spec in base_kinds:
+            if spec.name + "-q" in KINDS:
+                a = 4 if spec.takes_a else None
+                coeff = a or 6
+                q_values = [Fraction(1, coeff), Fraction(1, coeff + 1), Fraction(1, 100)]
+                rows.append(q_invariance_row(q_invariance(10, q_values, spec.name, a=a)))
+        rows.append(beta_power_row(100))
     elif args.family:
         if args.n is not None:
             sizes = range(args.n, args.n + 1)
         elif args.max_n is not None:
-            low = args.min_n or _FAMILY_MINIMUM[args.family]
+            low = args.min_n or KINDS[args.family].min_n
             sizes = range(low, args.max_n + 1)
         else:
             raise UsageError("verify needs --n or --max-n for a single family")
@@ -326,17 +261,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         raise UsageError("verify needs a family, --all, or --beta-powers")
 
     all_ok = all(r["exact_match"] for r in rows)
+    code = EXIT_OK if all_ok else EXIT_VERIFY_FAILED
     if args.format == "json":
-        text = json.dumps({"all_ok": all_ok, "reports": rows})
-    else:
-        lines = ["family,n,params,exact_match,max_gap"]
-        for r in rows:
-            params = ";".join(f"{k}={v}" for k, v in r["params"].items())
-            lines.append(
-                f"{r['family']},{r['n']},{params},{r['exact_match']},{r['max_gap']}"
-            )
-        text = "\n".join(lines)
-    return text, EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+        return json.dumps({"all_ok": all_ok, "reports": rows}), code
+    return rows_to_csv(rows), code
 
 
 def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
@@ -382,20 +310,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         text, code = _HANDLERS[args.command](args)
-    except UsageError as exc:
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
+    except (UsageError, ValueError, OSError) as exc:
         return _fail(EXIT_PARAMETER, str(exc))
-    except (ParameterError, ValueError) as exc:
-        return _fail(EXIT_PARAMETER, str(exc))
-    except ConvergenceError as exc:
+    except (ConvergenceError, SolverError) as exc:
         return _fail(EXIT_SOLVER, str(exc))
-    except SolverError as exc:
-        return _fail(EXIT_SOLVER, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_PARAMETER, str(exc))
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    if code == EXIT_VERIFY_FAILED:
+        return _fail(code, "a closed form disagrees with the exact solver; see the reports")
     return code
 
 

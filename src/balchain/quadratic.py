@@ -21,8 +21,6 @@ __all__ = [
     "QuadInt",
     "ONE",
     "BETA",
-    "qmul",
-    "qpow",
     "beta_power_identity",
     "infinite_steady_state",
     "silver_ratio_gap",
@@ -97,18 +95,6 @@ ONE = QuadInt(1, 0)
 # 3 - 2*sqrt(2): the limiting ratio of consecutive balancing numbers and a
 # norm-1 unit of the ring.
 BETA = QuadInt(3, -2)
-
-
-def qmul(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Ring product (a1 + b1*sqrt2)(a2 + b2*sqrt2)."""
-    return x * y
-
-
-def qpow(x: QuadInt, n: int) -> QuadInt:
-    """x**n for n >= 0, with x**0 = 1."""
-    if n < 0:
-        raise ValueError(f"exponent must be >= 0, got {n}")
-    return x**n
 
 
 def beta_power_identity(n: int) -> bool:

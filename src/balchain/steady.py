@@ -153,15 +153,14 @@ def power_iteration(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = m.n
-    rows = [[float(x) for x in m.row(i)] for i in range(n)]
+    rows = [[(j, float(x)) for j, x in m.nonzeros(i)] for i in range(n)]
     v = [1.0 / n] * n
     for iteration in range(1, max_iter + 1):
         w = [0.0] * n
         for i, weight in enumerate(v):
             if weight:
-                row = rows[i]
-                for j in range(n):
-                    w[j] += weight * row[j]
+                for j, p in rows[i]:
+                    w[j] += weight * p
         delta = sum(abs(w[j] - v[j]) for j in range(n))
         v = w
         if delta < tol:

@@ -16,27 +16,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import (
+    KINDS,
     ChainFamily,
     ParameterError,
-    balancing_chain,
-    balancing_chain_q,
-    balancing_like_chain,
-    balancing_like_chain_q,
     build,
-    lucas_chain,
-    lucas_chain_q,
+    family,
     truncated_infinite_chain,
-    truncated_infinite_chain_q,
 )
-from .quadratic import BETA, ONE, float_upper, gap_bound, infinite_steady_state
-from .sequences import (
-    BALANCING,
-    LUCAS_BALANCING,
-    LUCAS_COBALANCING,
-    balancing_like,
-    sequence,
-    term,
+from .quadratic import (
+    BETA,
+    ONE,
+    beta_power_identity,
+    float_upper,
+    gap_bound,
+    infinite_steady_state,
 )
+from .sequences import BALANCING, RecurrenceSpec, SequenceKind, sequence, term
 from .steady import solve_exact
 
 __all__ = [
@@ -49,56 +44,13 @@ __all__ = [
     "truncation_convergence",
     "unnormalized_recursion_check",
     "infinite_recursion_identity",
+    "report_row",
+    "q_invariance_row",
+    "beta_power_row",
+    "rows_to_csv",
     "report_to_json",
     "reports_to_csv",
 ]
-
-_REVERSED_INDEX_NOTE = (
-    "entries are proportional to the reversed sequence ({first}..{last}); the "
-    "forward-indexed variant {variant} contradicts the boundary balance "
-    "equation pi[n-2] = {ratio}*pi[n-1]"
-)
-
-_NOTES = {
-    "balancing": (
-        "entries 2*B(n-i)/b(n+1): reversed balancing numbers over half the "
-        "(n+1)-st cobalancing number; the constant-in-i rendering 2*P(2n)/sum "
-        "only matches entry 0"
-    ),
-    "balancing-q": (
-        "same stationary vector as the q-free balancing chain for every "
-        "0 < q <= 1/6"
-    ),
-    "pell-ratio": _REVERSED_INDEX_NOTE.format(
-        first="B(n)-B(n-1)",
-        last="B(1)-B(0)",
-        variant="(B(n+i)-B(n+i-1))/B(n)",
-        ratio=5,
-    )
-    + "; the constant-in-i rendering 2*P(2n-1)/P(2n) only matches entry 0",
-    "truncated-infinite": (
-        "finite reflection of the infinite-state chain; identical matrix and "
-        "vector to pell-ratio"
-    ),
-    "truncated-infinite-q": (
-        "same stationary vector as the q-free truncated chain for every "
-        "0 < q <= 1/6"
-    ),
-    "lucas": _REVERSED_INDEX_NOTE.format(
-        first="C(n-1)", last="C(0)", variant="C(n-i)/sum(C(1)..C(n))", ratio=3
-    ),
-    "lucas-q": (
-        "same stationary vector as the q-free lucas chain for every 0 < q <= 1/6"
-    ),
-    "lucas-cobalancing": _REVERSED_INDEX_NOTE.format(
-        first="c(n-1)", last="c(0)", variant="c(n-i)/sum(c(1)..c(n))", ratio=7
-    ),
-    "balancing-like": "entries x(n-i)/sum(x(1)..x(n)) for the order-a sequence",
-    "balancing-like-q": (
-        "same stationary vector as the q-free balancing-like chain for every "
-        "0 < q <= 1/a"
-    ),
-}
 
 
 @dataclass
@@ -132,21 +84,19 @@ def _normalized_suffix(values: list[int]) -> list[Fraction]:
 
 
 def closed_form(family: ChainFamily) -> list[Fraction]:
-    """Predicted stationary vector, straight from the sequence recurrences."""
-    n = family.n
-    kind = family.kind
-    if kind in ("balancing", "balancing-q"):
-        return _normalized_suffix(sequence(BALANCING, n + 1)[1:])
-    if kind in ("pell-ratio", "truncated-infinite", "truncated-infinite-q"):
-        b = sequence(BALANCING, n + 1)
-        return [Fraction(b[n - i] - b[n - i - 1], b[n]) for i in range(n)]
-    if kind in ("lucas", "lucas-q"):
-        return _normalized_suffix(sequence(LUCAS_BALANCING, n))
-    if kind == "lucas-cobalancing":
-        return _normalized_suffix(sequence(LUCAS_COBALANCING, n))
-    if kind in ("balancing-like", "balancing-like-q"):
-        return _normalized_suffix(sequence(balancing_like(family.a), n + 1)[1:])
-    raise ParameterError(f"no closed form for family {kind!r}")
+    """Predicted stationary vector, straight from the sequence recurrences.
+
+    pi[i] is x(n-i)/sum(x(1)..x(n)) for x(k+1) = coeff*x(k) - x(k-1) with
+    x(1) = 1 and the kind's x(0).  x(0) = 0 makes x(k) the balancing number
+    B(k) (the order-a sequence for a kind with a), 1 makes it B(k)-B(k-1),
+    and 3 and -1 make it the Lucas-balancing C(k-1) and Lucas-cobalancing
+    c(k-1) numbers.
+    """
+    spec = KINDS.get(family.kind)
+    if spec is None:
+        raise ParameterError(f"no closed form for family {family.kind!r}")
+    weights = SequenceKind(spec.name, RecurrenceSpec(family.coeff, 0, spec.x0, 1))
+    return _normalized_suffix(sequence(weights, family.n + 1)[1:])
 
 
 def verify_family(family: ChainFamily) -> VerificationReport:
@@ -161,33 +111,24 @@ def verify_family(family: ChainFamily) -> VerificationReport:
         solved=solved,
         exact_match=predicted == solved,
         max_gap=max_gap,
-        notes=_NOTES[family.kind],
+        notes=KINDS[family.kind].note,
     )
-
-
-_Q_FAMILIES = {
-    "balancing": (balancing_chain, balancing_chain_q),
-    "lucas": (lucas_chain, lucas_chain_q),
-    "truncated-infinite": (truncated_infinite_chain, truncated_infinite_chain_q),
-    "balancing-like": (balancing_like_chain, balancing_like_chain_q),
-}
 
 
 def q_invariance(
     base_n: int, q_values: list[Fraction], kind: str, a: int | None = None
 ) -> QInvarianceReport:
-    """Check the stationary vector is the same fraction vector for every q."""
-    if kind not in _Q_FAMILIES:
+    """Check the stationary vector is the same fraction vector for every q.
+
+    ``kind`` is a q-free kind whose q-family is registered as ``kind + "-q"``.
+    """
+    q_kind = kind + "-q"
+    if kind not in KINDS or q_kind not in KINDS:
         raise ParameterError(f"no q-parameterized variant for {kind!r}")
-    base_factory, q_factory = _Q_FAMILIES[kind]
-    if kind == "balancing-like":
-        if a is None:
-            raise ParameterError("balancing-like q-invariance needs the multiplier a")
-        base_vector = solve_exact(build(base_factory(base_n, a)))
-        vectors = [solve_exact(build(q_factory(base_n, a, q))) for q in q_values]
-    else:
-        base_vector = solve_exact(build(base_factory(base_n)))
-        vectors = [solve_exact(build(q_factory(base_n, q))) for q in q_values]
+    if KINDS[kind].takes_a and a is None:
+        raise ParameterError(f"{kind} q-invariance needs the multiplier a")
+    base_vector = solve_exact(build(family(kind, base_n, a)))
+    vectors = [solve_exact(build(family(q_kind, base_n, a, q))) for q in q_values]
     identical = all(v == vectors[0] for v in vectors)
     return QInvarianceReport(
         kind=kind,
@@ -258,35 +199,73 @@ def unnormalized_recursion_check(n: int, count: int, digits: int = 50) -> bool:
     return True
 
 
-def _family_params(family: ChainFamily) -> dict:
+def _row(label: str, n: int, params: dict, ok: bool, max_gap: str, notes: str) -> dict:
+    return {
+        "family": label,
+        "n": n,
+        "params": params,
+        "exact_match": ok,
+        "max_gap": max_gap,
+        "notes": notes,
+    }
+
+
+def report_row(report: VerificationReport) -> dict:
+    """The summary row of one family check, as the verify command reports it."""
+    f = report.family
     params: dict = {}
-    if family.a is not None:
-        params["a"] = family.a
-    if family.q is not None:
-        params["q"] = str(family.q)
-    return params
+    if f.a is not None:
+        params["a"] = f.a
+    if f.q is not None:
+        params["q"] = str(f.q)
+    return _row(f.kind, f.n, params, report.exact_match, str(report.max_gap), report.notes)
+
+
+def q_invariance_row(report: QInvarianceReport) -> dict:
+    params: dict = {"q": [str(q) for q in report.q_values]}
+    if report.a is not None:
+        params["a"] = report.a
+    ok = report.identical and report.matches_base
+    return _row(
+        f"q-invariance:{report.kind}",
+        report.n,
+        params,
+        ok,
+        "0" if ok else "mismatch",
+        "stationary vector is identical across all listed q",
+    )
+
+
+def beta_power_row(max_n: int) -> dict:
+    """Summary row of ``beta_power_identity`` for every n in 1..max_n."""
+    ok = all(beta_power_identity(k) for k in range(1, max_n + 1))
+    return _row(
+        "beta-power-identity",
+        max_n,
+        {},
+        ok,
+        "0" if ok else "mismatch",
+        "BETA**(n+1) == BETA*B[n+1] - B[n] checked exactly in Z[sqrt(2)]",
+    )
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    lines = ["family,n,params,exact_match,max_gap"]
+    for r in rows:
+        params = ";".join(f"{k}={v}" for k, v in r["params"].items())
+        lines.append(f"{r['family']},{r['n']},{params},{r['exact_match']},{r['max_gap']}")
+    return "\n".join(lines)
 
 
 def report_to_json(report: VerificationReport) -> str:
     return json.dumps(
         {
-            "family": report.family.kind,
-            "n": report.family.n,
-            "params": _family_params(report.family),
+            **report_row(report),
             "predicted": [str(x) for x in report.predicted],
             "solved": [str(x) for x in report.solved],
-            "exact_match": report.exact_match,
-            "max_gap": str(report.max_gap),
-            "notes": report.notes,
         }
     )
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:
-    lines = ["family,n,params,exact_match,max_gap"]
-    for r in reports:
-        params = ";".join(f"{k}={v}" for k, v in _family_params(r.family).items())
-        lines.append(
-            f"{r.family.kind},{r.family.n},{params},{r.exact_match},{r.max_gap}"
-        )
-    return "\n".join(lines)
+    return rows_to_csv([report_row(r) for r in reports])

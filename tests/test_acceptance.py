@@ -21,7 +21,7 @@ from balchain.chains import (
     truncated_infinite_chain,
     truncated_infinite_chain_q,
 )
-from balchain.quadratic import BETA, ONE, beta_power_identity, qpow
+from balchain.quadratic import BETA, ONE, beta_power_identity
 from balchain.sequences import balancing_matrix_power, integer_sqrt
 from balchain.steady import n_step, power_iteration, simulate, solve_exact
 from balchain.verify import truncation_gap_bound, verify_family
@@ -131,7 +131,7 @@ def test_criterion_6_truncation_convergence_and_recursion():
     pi0 = ONE - BETA
     relations = [(1, 5, 4), (2, 29, 24), (3, 169, 140)]
     for i, coeff, const in relations:
-        ok = ok and qpow(BETA, i) - qpow(BETA, i + 1) == coeff * pi0 - const
+        ok = ok and BETA**i - BETA**(i + 1) == coeff * pi0 - const
     _report(6, "truncation gaps below 1e-7 (n=10) and 1e-14 (n=20); exact recursion", ok)
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from balchain.chains import (
-    DENSE_LIMIT,
+    KINDS,
+    ChainFamily,
     ParameterError,
     StochasticMatrix,
     balancing_chain,
@@ -11,6 +12,7 @@ from balchain.chains import (
     balancing_like_chain,
     balancing_like_chain_q,
     build,
+    family,
     lucas_chain,
     lucas_chain_q,
     lucas_cobalancing_chain,
@@ -175,22 +177,46 @@ def test_multiplier_bound_rejected():
 
 
 def test_dense_and_banded_layouts_agree():
+    # a family built from its cells and the same matrix read from dense rows
     for family in all_families(6):
-        dense = build(family, layout="dense")
-        banded = build(family, layout="banded")
-        assert dense.is_dense and not banded.is_dense
+        banded = build(family)
+        dense = StochasticMatrix.from_rows(banded.rows())
         assert dense == banded
-        assert banded.rows() == dense.rows()
+        assert dense.rows() == banded.rows()
+        for i in range(banded.n):
+            cells = banded.nonzeros(i)
+            assert dense.nonzeros(i) == cells
+            assert all(x for _, x in cells)
+            assert [j for j, _ in cells] == sorted(j for j, _ in cells)
+            assert [banded.entry(i, j) for j in range(banded.n)] == list(banded.row(i))
 
 
-def test_layout_switches_at_dense_limit():
-    assert build(balancing_chain(DENSE_LIMIT)).is_dense
-    assert not build(balancing_chain(DENSE_LIMIT + 1)).is_dense
+def test_from_cells_drops_zeros_and_checks_bounds():
+    m = StochasticMatrix.from_cells(2, {(1, 1): R(1, 2), (0, 0): R(1), (1, 0): R(1, 2), (0, 1): R(0)})
+    assert m == StochasticMatrix.from_rows([[R(1), R(0)], [R(1, 2), R(1, 2)]])
+    assert m.nonzeros(0) == [(0, R(1))]
+    assert m.nonzeros(1) == [(0, R(1, 2)), (1, R(1, 2))]
+    with pytest.raises(IndexError):
+        StochasticMatrix.from_cells(2, {(0, 2): R(1)})
+    with pytest.raises(IndexError):
+        m.nonzeros(2)
 
 
-def test_unknown_layout_rejected():
+def test_registry_drives_the_constructor():
+    assert tuple(KINDS) == tuple(f.kind for f in all_families())
+    for f in all_families():
+        assert family(f.kind, f.n, f.a, f.q) == f
+    # parameters a kind does not take are dropped
+    assert family("balancing", 5, a=4, q=R(1, 7)) == balancing_chain(5)
+    assert family("balancing-q", 5, a=4, q=R(1, 7)) == balancing_chain_q(5, R(1, 7))
+    with pytest.raises(ParameterError, match="unknown chain family"):
+        family("nope", 5)
+    with pytest.raises(ParameterError, match="unknown chain family"):
+        build(ChainFamily("nope", 5))
     with pytest.raises(ParameterError):
-        build(balancing_chain(4), layout="sparse")
+        family("balancing-like", 5)
+    with pytest.raises(ParameterError):
+        family("lucas-q", 5)
 
 
 def test_validate_reports_bad_row_sum():
@@ -244,7 +270,6 @@ def test_json_round_trip():
 
 def test_json_round_trip_banded():
     m = build(balancing_chain(70))
-    assert not m.is_dense
     assert matrix_from_json(matrix_to_json(m)) == m
     assert validate(m).ok
 
@@ -258,24 +283,25 @@ def test_entry_bounds_checked():
 
 
 def test_band_store_collisions_resolve_to_column_zero():
-    # diag[0] and sub[1] sit on column 0, where col0 wins; sup[n-1] is off
-    # the matrix; none of them is a cell of the matrix
+    # cells (0, 0) and (1, 0) lie on column 0 and on the band; band() files
+    # them under column 0, so diag[0], sub[1] and sup[n-1] are never set
     z, h, k = R(0), R(1, 2), R(1, 4)
-    m = StochasticMatrix.from_band(
-        [h, h, R(5, 6)], [z, R(7), R(1, 6)], [R(9), k, z], [h, k, R(3)]
-    )
+    m = StochasticMatrix.from_rows([[h, h, z], [h, k, k], [R(5, 6), R(1, 6), z]])
     assert m.nonzeros(0) == [(0, h), (1, h)]
     assert m.nonzeros(1) == [(0, h), (1, k), (2, k)]
     assert m.nonzeros(2) == [(0, R(5, 6)), (1, R(1, 6))]
     assert m.nonzero_count() == 7
-    dense = StochasticMatrix.from_rows(m.rows())
-    assert validate(m) == validate(dense)
+    col0, sub, diag, sup = m.band()
+    assert col0 == (h, h, R(5, 6))
+    assert (diag[0], sub[1], sup[2]) == (z, z, z)
+    assert (sup[0], diag[1], sup[1], sub[2]) == (h, k, k, R(1, 6))
     assert validate(m).ok
 
 
 @pytest.mark.parametrize("family", all_families(), ids=lambda f: f.label)
 def test_band_shape_is_the_same_on_both_stores(family):
-    dense, banded = build(family, layout="dense"), build(family, layout="banded")
+    banded = build(family)
+    dense = StochasticMatrix.from_rows(banded.rows())
     assert dense.band() == banded.band()
     for i in range(dense.n):
         assert dense.nonzeros(i) == banded.nonzeros(i)
@@ -288,13 +314,17 @@ def test_band_shape_rejects_cells_off_the_pattern():
 
 
 def test_validate_reports_are_equal_on_both_stores():
-    cases = [build(f, layout=layout) for f in all_families() for layout in ("dense", "banded")]
+    cases = [build(f) for f in all_families()]
     # a broken band matrix: negative cells, bad sums, a state nobody enters
-    z = R(0)
     cases.append(
-        StochasticMatrix.from_band(
-            [R(1), R(1, 2), R(1, 2), z], [z, z, R(-1, 4), R(1, 2)],
-            [z, R(1, 4), R(3, 4), R(1, 2)], [z, R(1, 4), z, z],
+        StochasticMatrix.from_cells(
+            4,
+            {
+                (0, 0): R(1),
+                (1, 0): R(1, 2), (1, 1): R(1, 4), (1, 2): R(1, 4),
+                (2, 0): R(1, 2), (2, 1): R(-1, 4), (2, 2): R(3, 4),
+                (3, 0): R(0), (3, 2): R(1, 2), (3, 3): R(1, 2),
+            },
         )
     )
     for m in cases:

@@ -144,6 +144,49 @@ def test_solve_matrix_file_round_trip(capsys, tmp_path):
     assert from_file == from_family
 
 
+BAD_MATRIX_FILES = [
+    ({"n": 2, "rows": [[2, -1], [0, 1]]}, 2, "negative"),
+    ({"n": 2, "rows": [["1/2", "1/2"], ["1/3", "1/3"]]}, 2, "sums to 2/3"),
+    ({"rows": [[1]]}, 2, '"n"'),
+    ({"n": "1", "rows": [[1]]}, 2, '"n"'),
+    ({"n": True, "rows": [[1]]}, 2, '"n"'),
+    ({"n": 1, "rows": "1"}, 2, '"rows"'),
+    ({"n": 1, "rows": [1]}, 2, '"rows"'),
+    ({"n": 2, "rows": [[1, 0]]}, 2, "2 lists of 2 cells"),
+    ({"n": 2, "rows": [[1, 0], [1]]}, 2, "2 lists of 2 cells"),
+    ({"n": 1, "rows": [["1/0"]]}, 2, "'1/0'"),
+    ({"n": 1, "rows": [["one"]]}, 2, "'one'"),
+    ({"n": 2, "rows": [[0.1, 0.9], [1, 0]]}, 2, "0.1"),
+    ({"n": 1, "rows": [[True]]}, 2, "True"),
+    ({"n": 1, "rows": [[1]], "family": 7}, 2, '"family"'),
+    ([[1]], 2, "JSON object"),
+    ("{not json", 2, "not valid JSON"),
+    ({"n": 2, "rows": [[1, 0], [0, 1]]}, 4, "reducible"),
+    ({"n": 2, "rows": [[1, 0], [1, 0]]}, 4, "reducible"),
+]
+
+
+@pytest.mark.parametrize("method", ["exact", "power", "simulate"])
+@pytest.mark.parametrize("payload,expected,fragment", BAD_MATRIX_FILES)
+def test_solve_rejects_bad_matrix_files(capsys, tmp_path, payload, expected, fragment, method):
+    path = tmp_path / "bad.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    code, out, err = run_cli(capsys, "solve", "--matrix-file", str(path), "--method", method)
+    assert code == expected
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == expected
+    assert fragment in error["message"]
+
+
+def test_solve_matrix_file_cells_are_exact(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n": 2, "rows": [["0.25", "3/4"], [1, "0"]]}))
+    code, out, _ = run_cli(capsys, "solve", "--matrix-file", str(path))
+    assert code == 0
+    assert out == "4/7\n3/7\n"
+
+
 def test_solve_needs_a_source(capsys):
     code, _, err = run_cli(capsys, "solve", "--method", "exact")
     assert code == 2
@@ -158,6 +201,27 @@ def test_out_redirects_results_only(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "0\n1\n6\n"
+
+
+def test_out_to_a_directory_is_a_parameter_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "seq", "balancing", "--count", "3", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == 2
+
+
+def test_verify_failure_reports_on_stdout_and_stderr(capsys, monkeypatch):
+    from balchain import verify
+
+    def off_by_one(family):
+        pi = verify.solve_exact(verify.build(family))
+        return [pi[-1], *pi[:-1]]
+
+    monkeypatch.setattr(verify, "closed_form", off_by_one)
+    code, out, err = run_cli(capsys, "verify", "lucas", "--n", "5")
+    assert code == 3
+    assert out.splitlines()[1].startswith("lucas,5,,False,")
+    assert json.loads(err)["error"]["code"] == 3
 
 
 def test_verify_single_family(capsys):

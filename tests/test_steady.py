@@ -101,10 +101,11 @@ def test_solver_rejects_reducible_chain():
 
 
 def test_dense_and_banded_solves_are_identical():
+    # a family built from its cells and the same matrix read from dense rows
     for family in (balancing_chain(9), lucas_cobalancing_chain(9)):
-        dense = solve_exact(build(family, layout="dense"))
-        banded = solve_exact(build(family, layout="banded"))
-        assert dense == banded
+        banded = build(family)
+        dense = StochasticMatrix.from_rows(banded.rows())
+        assert solve_exact(dense) == solve_exact(banded)
 
 
 def test_power_iteration_matches_exact():
@@ -245,12 +246,25 @@ def band_matrices(draw):
     return [draw(st.lists(band_cells, min_size=n, max_size=n)) for _ in range(4)]
 
 
+def band_rows(arrays):
+    """Dense rows from (col0, sub, diag, sup); column 0 wins where a band
+    slot falls on it, and slots off the matrix are dropped."""
+    col0, sub, diag, sup = arrays
+    n = len(col0)
+    rows = [[R(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j, x in ((i - 1, sub[i]), (i, diag[i]), (i + 1, sup[i])):
+            if 0 < j < n:
+                rows[i][j] = x
+        rows[i][0] = col0[i]
+    return rows
+
+
 @given(band_matrices())
 def test_band_route_equals_gaussian_elimination(arrays):
-    banded = StochasticMatrix.from_band(*arrays)
-    dense = StochasticMatrix.from_rows(banded.rows())
+    dense = StochasticMatrix.from_rows(band_rows(arrays))
     reference = solve_or_singular(_solve_gauss, dense)
-    for m in (banded, dense, matrix_from_json(matrix_to_json(banded))):
+    for m in (dense, matrix_from_json(matrix_to_json(dense))):
         assert m.band() is not None
         assert solve_or_singular(solve_exact, m) == reference
 
@@ -288,10 +302,13 @@ def test_full_matrix_solves_by_elimination(monkeypatch):
     assert calls == [m]
 
 
-@pytest.mark.parametrize("layout", ["dense", "banded"])
+# "banded": built from the family's cells; "dense": read back from dense rows
+@pytest.mark.parametrize("source", ["dense", "banded"])
 @pytest.mark.parametrize("family", SOLVE_CASES, ids=lambda f: f.label)
-def test_families_take_the_band_route(monkeypatch, family, layout):
-    m = build(family, layout=layout)
+def test_families_take_the_band_route(monkeypatch, family, source):
+    m = build(family)
+    if source == "dense":
+        m = StochasticMatrix.from_rows(m.rows())
     expected = _solve_gauss(m)
 
     def no_elimination(m):

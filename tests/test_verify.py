@@ -15,7 +15,7 @@ from balchain.chains import (
     pell_ratio_chain,
     truncated_infinite_chain,
 )
-from balchain.quadratic import BETA, ONE, gap_bound, infinite_steady_state, qpow
+from balchain.quadratic import BETA, ONE, gap_bound, infinite_steady_state
 from balchain.sequences import BALANCING, COBALANCING, PELL, sequence, term
 from balchain.steady import solve_exact
 from balchain.verify import (
@@ -164,9 +164,9 @@ def test_truncation_first_entry_at_forty():
 def test_infinite_recursion_identity_exact():
     # first coefficients: 5*pi0 - 4, 29*pi0 - 24, 169*pi0 - 140
     pi0 = ONE - BETA
-    assert BETA - qpow(BETA, 2) == 5 * pi0 - 4
-    assert qpow(BETA, 2) - qpow(BETA, 3) == 29 * pi0 - 24
-    assert qpow(BETA, 3) - qpow(BETA, 4) == 169 * pi0 - 140
+    assert BETA - BETA**2 == 5 * pi0 - 4
+    assert BETA**2 - BETA**3 == 29 * pi0 - 24
+    assert BETA**3 - BETA**4 == 169 * pi0 - 140
     assert all(infinite_recursion_identity(i) for i in range(1, 31))
     with pytest.raises(ValueError):
         infinite_recursion_identity(0)
