@@ -57,12 +57,44 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ChainFamily:
-    """A named matrix family instance: kind, size, and optional a / q."""
+    """A named matrix family instance: kind, size, and optional a / q.
+
+    Construction checks the instance against its ``KINDS`` row, so every
+    family that reaches ``build`` is valid: an unknown kind, an n below the
+    minimum, a missing or out-of-range a or q, and an a or q the kind does
+    not take all raise ParameterError.  ``family()`` drops a and q when
+    the kind does not take them; construct through it to get that.
+    """
 
     kind: str
     n: int
     a: int | None = None
     q: Fraction | None = None
+
+    def __post_init__(self) -> None:
+        kind, a, q = self.kind, self.a, self.q
+        spec = KINDS.get(kind)
+        if spec is None:
+            raise ParameterError(f"unknown chain family {kind!r}")
+        if self.n < spec.min_n:
+            raise ParameterError(f"{kind} needs n >= {spec.min_n}, got {self.n}")
+        if not spec.takes_a:
+            if a is not None:
+                raise ParameterError(f"{kind} takes no multiplier a, got {a}")
+        elif a is None:
+            raise ParameterError(f"{kind} needs the multiplier a")
+        elif a < 2:
+            raise ParameterError(f"{kind} needs a >= 2, got {a}")
+        if not spec.takes_q:
+            if q is not None:
+                raise ParameterError(f"{kind} takes no step probability q, got {q}")
+        elif q is None:
+            raise ParameterError(f"{kind} needs the step probability q")
+        else:
+            q = Fraction(q)
+            if not 0 < q <= Fraction(1, self.coeff):
+                raise ParameterError(f"{kind} needs 0 < q <= 1/{self.coeff}, got {q}")
+            object.__setattr__(self, "q", q)
 
     @property
     def coeff(self) -> int:
@@ -174,25 +206,9 @@ def family(
     required when it does; n, a and q are checked in that order.
     """
     spec = KINDS.get(kind)
-    if spec is None:
-        raise ParameterError(f"unknown chain family {kind!r}")
-    if n < spec.min_n:
-        raise ParameterError(f"{kind} needs n >= {spec.min_n}, got {n}")
-    if not spec.takes_a:
-        a = None
-    elif a is None:
-        raise ParameterError(f"{kind} needs the multiplier a")
-    elif a < 2:
-        raise ParameterError(f"{kind} needs a >= 2, got {a}")
-    if not spec.takes_q:
-        q = None
-    elif q is None:
-        raise ParameterError(f"{kind} needs the step probability q")
-    else:
-        coeff = 6 if a is None else a
-        q = Fraction(q)
-        if not 0 < q <= Fraction(1, coeff):
-            raise ParameterError(f"{kind} needs 0 < q <= 1/{coeff}, got {q}")
+    if spec is not None:
+        a = a if spec.takes_a else None
+        q = q if spec.takes_q else None
     return ChainFamily(kind, n, a, q)
 
 
@@ -371,9 +387,7 @@ def _cells(n: int, a: int, q: Fraction, boundary: str) -> dict[tuple[int, int], 
 
 def build(family: ChainFamily) -> StochasticMatrix:
     """Materialize a family instance as a StochasticMatrix."""
-    spec = KINDS.get(family.kind)
-    if spec is None:
-        raise ParameterError(f"unknown chain family {family.kind!r}")
+    spec = KINDS[family.kind]
     coeff = family.coeff
     q = family.q if spec.takes_q else Fraction(1, coeff)
     cells = _cells(family.n, coeff, q, spec.boundary)

@@ -170,8 +170,10 @@ def _cmd_chain(args: argparse.Namespace) -> tuple[str, int]:
     return matrix_to_csv(matrix), EXIT_OK
 
 
-def _require_chain(matrix: StochasticMatrix) -> None:
-    """Reject a matrix file that is not an irreducible stochastic matrix."""
+def _require_chain(matrix: StochasticMatrix, method: str) -> None:
+    """Reject a matrix file that is not an irreducible stochastic matrix,
+    and a periodic one for power iteration, whose iterates oscillate on it
+    unless the uniform start is already stationary."""
     report = validate(matrix)
     if report.negative_entries:
         i, j = report.negative_entries[0]
@@ -182,12 +184,17 @@ def _require_chain(matrix: StochasticMatrix) -> None:
     if not report.irreducible:
         state = (report.unreachable or report.non_returning)[0]
         raise SolverError(f"the chain is reducible: states 0 and {state} do not communicate")
+    if method == "power" and report.period > 1:
+        raise SolverError(
+            f"the chain is periodic with period {report.period}: power iteration "
+            "needs an aperiodic chain; use --method exact or simulate"
+        )
 
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     if args.matrix_file:
         matrix = matrix_from_json(Path(args.matrix_file).read_text())
-        _require_chain(matrix)
+        _require_chain(matrix, args.method)
     elif args.family:
         matrix = build(_make_family(args.family, args.n, args.a, args.q))
     else:
@@ -308,7 +315,10 @@ def _fail(code: int, message: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help has printed its text and exits 0
+            return exc.code
         text, code = _HANDLERS[args.command](args)
         if args.out:
             Path(args.out).write_text(text + "\n")

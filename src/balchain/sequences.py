@@ -80,16 +80,16 @@ def balancing_like(a: int) -> SequenceKind:
 
 
 def term(kind: SequenceKind, n: int) -> int:
-    """n-th term of the sequence, 0-indexed."""
+    """n-th term of the sequence, 0-indexed, in O(log n) big-integer products.
+
+    The n-th power of the recurrence's companion matrix (see
+    ``_companion_power``) maps (x1, x0, 1) to (x[n+1], x[n], 1).
+    """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     r = kind.recurrence
-    if n == 0:
-        return r.x0
-    prev, cur = r.x0, r.x1
-    for _ in range(n - 1):
-        prev, cur = cur, r.coeff * cur + r.back * prev + r.shift
-    return cur
+    _, (p, q, u) = _companion_power(r, n)
+    return p * r.x1 + q * r.x0 + u
 
 
 def sequence(kind: SequenceKind, count: int) -> list[int]:
@@ -148,27 +148,42 @@ def check_pell_links(n: int) -> tuple[bool, bool]:
     return even_ok, odd_ok
 
 
+def _companion_power(
+    r: RecurrenceSpec, k: int
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Top two rows of M**k, M = ((coeff, back, shift), (1, 0, 0), (0, 0, 1)).
+
+    M maps (x[j], x[j-1], 1) to (x[j+1], x[j], 1), so the shift needs no
+    division; the bottom row of every power is (0, 0, 1) and is left out.
+    The bits of k are read from the top: each squares the power so far,
+    and a set bit then multiplies by M, which costs only small-by-big
+    products.
+    """
+    c, b, s = r.coeff, r.back, r.shift
+    (p, q, u), (v, w, t) = (1, 0, 0), (0, 1, 0)
+    for bit in bin(k)[2:]:
+        qv, pw = q * v, p + w
+        p, q, u, v, w, t = (
+            p * p + qv, q * pw, p * u + q * t + u,
+            v * pw, qv + w * w, v * u + w * t + t,
+        )
+        if bit == "1":
+            p, q, u, v, w, t = c * p + b * v, c * q + b * w, c * u + b * t + s, p, q, u
+    return (p, q, u), (v, w, t)
+
+
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
-
-_BALANCING_BASE: Matrix2 = ((6, 1), (-1, 0))
-
-
-def _mul2(x: Matrix2, y: Matrix2) -> Matrix2:
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
 
 
 def balancing_matrix_power(n: int) -> Matrix2:
-    """n-th power of ((6, 1), (-1, 0)) by repeated multiplication.
+    """n-th power of ((6, 1), (-1, 0)) by squaring, in O(log n) products.
 
-    The result carries consecutive balancing numbers:
+    The base is the transpose of the balancing recurrence's companion
+    block ((6, -1), (1, 0)), so the result is the transposed block of
+    ``_companion_power`` and carries consecutive balancing numbers:
     ((B[n+1], B[n]), (-B[n], -B[n-1])).
     """
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
-    out = _BALANCING_BASE
-    for _ in range(n - 1):
-        out = _mul2(out, _BALANCING_BASE)
-    return out
+    (p, q, _), (v, w, _) = _companion_power(BALANCING.recurrence, n)
+    return (p, v), (q, w)

@@ -219,6 +219,32 @@ def test_registry_drives_the_constructor():
         family("lucas-q", 5)
 
 
+@pytest.mark.parametrize(
+    "kind,n,a,q",
+    [
+        ("balancing-q", 5, None, None),
+        ("lucas-cobalancing", 3, None, None),
+        ("balancing-like", 5, None, None),
+        ("balancing-like", 5, 1, None),
+        ("balancing-like-q", 5, 4, R(1, 3)),
+        ("lucas-q", 5, None, R(0)),
+    ],
+)
+def test_direct_chain_family_gets_the_constructor_checks(kind, n, a, q):
+    with pytest.raises(ParameterError) as expected:
+        family(kind, n, a, q)
+    with pytest.raises(ParameterError) as direct:
+        build(ChainFamily(kind, n, a, q))
+    assert str(direct.value) == str(expected.value)
+
+
+def test_direct_chain_family_rejects_parameters_its_kind_does_not_take():
+    with pytest.raises(ParameterError, match="balancing takes no multiplier a, got 3"):
+        build(ChainFamily("balancing", 5, a=3))
+    with pytest.raises(ParameterError, match="lucas takes no step probability q, got 1/7"):
+        build(ChainFamily("lucas", 5, q=R(1, 7)))
+
+
 def test_validate_reports_bad_row_sum():
     rows = [
         [R(1, 2), R(1, 2), R(0)],

@@ -179,6 +179,22 @@ def test_solve_rejects_bad_matrix_files(capsys, tmp_path, payload, expected, fra
     assert fragment in error["message"]
 
 
+def test_periodic_matrix_file_fails_fast_under_power_only(capsys, tmp_path):
+    path = tmp_path / "bipartite.json"
+    path.write_text(json.dumps({"n": 3, "rows": [[0, 1, 0], ["1/2", 0, "1/2"], [0, 1, 0]]}))
+    code, out, err = run_cli(capsys, "solve", "--matrix-file", str(path), "--method", "power")
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == 4
+    assert "period 2" in error["message"]
+    code, out, _ = run_cli(capsys, "solve", "--matrix-file", str(path), "--method", "exact")
+    assert (code, out) == (0, "1/4\n1/2\n1/4\n")
+    argv = ("solve", "--matrix-file", str(path), "--method", "simulate", "--steps", "1000")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
 def test_solve_matrix_file_cells_are_exact(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"n": 2, "rows": [["0.25", "3/4"], [1, "0"]]}))
@@ -304,6 +320,14 @@ def test_unknown_subcommand(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 2
     assert json.loads(err)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=("top", "solve"))
+def test_help_returns_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: balchain")
+    assert err == ""
 
 
 @pytest.mark.parametrize(

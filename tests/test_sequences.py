@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from balchain.sequences import (
@@ -9,6 +9,8 @@ from balchain.sequences import (
     LUCAS_COBALANCING,
     NAMED_KINDS,
     PELL,
+    RecurrenceSpec,
+    SequenceKind,
     balancing_like,
     balancing_matrix_power,
     check_pell_links,
@@ -73,6 +75,32 @@ def test_sequence_examples():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_sequence_agrees_with_term(kind):
     assert sequence(kind, 12) == [term(kind, i) for i in range(12)]
+
+
+small = st.integers(min_value=-4, max_value=4)
+
+
+@given(
+    st.builds(
+        RecurrenceSpec,
+        coeff=small,
+        shift=small,
+        x0=small,
+        x1=small,
+        back=st.sampled_from([-1, 1, 0, -2, 3]),
+    ),
+    st.integers(min_value=0, max_value=300),
+)
+# 1 - coeff - back == 0: no constant offset removes the shift
+@example(RecurrenceSpec(2, 3, 5, -1, back=-1), 199)
+def test_term_matches_the_linear_sequence(spec, k):
+    kind = SequenceKind("x", spec)
+    assert term(kind, k) == sequence(kind, k + 1)[-1]
+
+
+@pytest.mark.parametrize("kind", NAMED_KINDS.values(), ids=lambda k: k.name)
+def test_term_far_out_matches_the_linear_sequence(kind):
+    assert term(kind, 5000) == sequence(kind, 5001)[-1]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
@@ -198,8 +226,6 @@ def test_balancing_matrix_power_small():
 
 
 def test_balancing_matrix_power_structure():
-    for n in range(1, 51):
-        b_prev = term(BALANCING, n - 1)
-        b_cur = term(BALANCING, n)
-        b_next = term(BALANCING, n + 1)
-        assert balancing_matrix_power(n) == ((b_next, b_cur), (-b_cur, -b_prev))
+    b = sequence(BALANCING, 3002)
+    for n in range(1, 3001):
+        assert balancing_matrix_power(n) == ((b[n + 1], b[n]), (-b[n], -b[n - 1]))
