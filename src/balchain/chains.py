@@ -516,7 +516,7 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     A cell is a JSON integer or a string that parses as an exact fraction
     ("num/den", an integer or a decimal).  JSON floats are rejected because
     they are binary approximations; every malformed payload raises
-    ParameterError.
+    ParameterError.  Each distinct cell string is parsed once per call.
     """
     try:
         payload = json.loads(text)
@@ -532,6 +532,18 @@ def matrix_from_json(text: str) -> StochasticMatrix:
         raise ParameterError(f'matrix "rows" must be {n} lists of {n} cells')
     if not isinstance(label, str):
         raise ParameterError(f'matrix "family" must be a string, got {label!r}')
-    return StochasticMatrix.from_rows(
-        [[_parse_cell(cell) for cell in row] for row in rows], label=label
-    )
+    parsed: dict[str, Fraction] = {}
+    dense = []
+    for row in rows:
+        values = []
+        for cell in row:
+            # only strings are memoised: 1, 1.0 and True are equal dict keys
+            if type(cell) is str:
+                value = parsed.get(cell)
+                if value is None:
+                    value = parsed[cell] = _parse_cell(cell)
+            else:
+                value = _parse_cell(cell)
+            values.append(value)
+        dense.append(values)
+    return StochasticMatrix.from_rows(dense, label=label)

@@ -233,12 +233,21 @@ def _verify_range(kind: str, sizes: range, a: int | None, q: str | None) -> list
     return [report_row(verify_family(_make_family(kind, n, a, q))) for n in sizes]
 
 
+def _max_n(value: int | None, default: int, least: int, mode: str) -> int:
+    """--max-n, or the mode's default when it is absent; below least is an error."""
+    if value is None:
+        return default
+    if value < least:
+        raise UsageError(f"--max-n must be >= {least} for {mode}")
+    return value
+
+
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     rows: list[dict] = []
     if args.beta_powers:
-        rows.append(beta_power_row(args.max_n or 100))
+        rows.append(beta_power_row(_max_n(args.max_n, 100, 1, "--beta-powers")))
     elif args.all:
-        max_n = args.max_n or 25
+        max_n = _max_n(args.max_n, 25, 3, "--all")
         # every q-free kind from its minimum size, the order-a kinds last
         base_kinds = sorted(
             (spec for spec in KINDS.values() if not spec.takes_q),
@@ -259,7 +268,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         if args.n is not None:
             sizes = range(args.n, args.n + 1)
         elif args.max_n is not None:
-            low = args.min_n or KINDS[args.family].min_n
+            low = KINDS[args.family].min_n if args.min_n is None else args.min_n
+            if args.max_n < low:
+                raise UsageError(f"--max-n {args.max_n} is below the first size {low}")
             sizes = range(low, args.max_n + 1)
         else:
             raise UsageError("verify needs --n or --max-n for a single family")
@@ -276,9 +287,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
     if args.ratio:
-        max_n = args.max_n or 10
-        if max_n < 2:
-            raise UsageError("--max-n must be >= 2 for --ratio")
+        max_n = _max_n(args.max_n, 10, 2, "--ratio")
         table = [
             (n, float_upper(silver_ratio_gap(n, args.digits)))
             for n in range(2, max_n + 1)

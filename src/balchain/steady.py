@@ -17,6 +17,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .chains import StochasticMatrix
 
@@ -170,38 +171,48 @@ def power_iteration(
     )
 
 
-def _mat_mul(x: list[list[Fraction]], y: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(x)
+_IntRows = list[list[tuple[int, int]]]
+
+
+def _int_mul(x: _IntRows, y: _IntRows) -> _IntRows:
+    """Product of two square integer matrices held as rows of nonzero
+    ``(j, value)`` pairs; zero cells of either factor cost nothing."""
+    n = len(y)
     out = []
-    for i in range(n):
-        xi = x[i]
-        row = [Fraction(0)] * n
-        for k in range(n):
-            xik = xi[k]
-            if xik:
-                yk = y[k]
-                for j in range(n):
-                    if yk[j]:
-                        row[j] += xik * yk[j]
-        out.append(row)
+    for xi in x:
+        acc = [0] * n
+        for k, a in xi:
+            for j, b in y[k]:
+                acc[j] += a * b
+        out.append([(j, v) for j, v in enumerate(acc) if v])
     return out
 
 
 def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
-    """Exact n-th matrix power (square-and-multiply); rows stay stochastic."""
+    """Exact n-th matrix power; rows stay stochastic.
+
+    With D the lcm of the denominators of P's nonzero cells, A = D*P is an
+    integer matrix, and P**n = A**n / D**n.  A**n comes from square-and-
+    multiply on plain ints (O(log n) sparse products, no gcd per cell),
+    and each cell of the result is reduced once, as a Fraction over D**n.
+    """
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
-    base = [list(m.row(i)) for i in range(m.n)]
-    result: list[list[Fraction]] | None = None
+    rows = [m.nonzeros(i) for i in range(m.n)]
+    d = lcm(*(x.denominator for row in rows for _, x in row))
+    base = [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in rows]
+    result: _IntRows | None = None
     e = n
     while e:
         if e & 1:
-            result = base if result is None else _mat_mul(result, base)
+            result = base if result is None else _int_mul(result, base)
         e >>= 1
         if e:
-            base = _mat_mul(base, base)
+            base = _int_mul(base, base)
+    den = d**n
+    cells = {(i, j): Fraction(v, den) for i, row in enumerate(result) for j, v in row}
     label = f"pow({m.label},{n})" if m.label else ""
-    return StochasticMatrix.from_rows(result, label=label)
+    return StochasticMatrix.from_cells(m.n, cells, label=label)
 
 
 def simulate(

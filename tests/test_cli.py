@@ -282,6 +282,49 @@ def test_verify_needs_a_scope(capsys):
     assert json.loads(err)["error"]["code"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--beta-powers", "--max-n", "0"), "--max-n must be >= 1 for --beta-powers"),
+        (("verify", "--beta-powers", "--max-n", "-1"), "--max-n must be >= 1 for --beta-powers"),
+        (("verify", "--all", "--max-n", "0"), "--max-n must be >= 3 for --all"),
+        (("verify", "--all", "--max-n", "-1"), "--max-n must be >= 3 for --all"),
+        (("verify", "--all", "--max-n", "2"), "--max-n must be >= 3 for --all"),
+        (("limit", "--ratio", "--max-n", "0"), "--max-n must be >= 2 for --ratio"),
+        (("limit", "--ratio", "--max-n", "-1"), "--max-n must be >= 2 for --ratio"),
+        (("limit", "--ratio", "--max-n", "1"), "--max-n must be >= 2 for --ratio"),
+        (("verify", "balancing", "--max-n", "0"), "--max-n 0 is below the first size 3"),
+        (("verify", "balancing", "--max-n", "2"), "--max-n 2 is below the first size 3"),
+        (
+            ("verify", "balancing", "--min-n", "10", "--max-n", "5"),
+            "--max-n 5 is below the first size 10",
+        ),
+    ],
+    ids=" ".join,
+)
+def test_max_n_below_the_mode_minimum_is_a_parameter_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": 2, "message": message}}
+
+
+def test_max_n_at_the_mode_minimum_runs(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--beta-powers", "--max-n", "1")
+    assert (code, out) == (0, "family,n,params,exact_match,max_gap\nbeta-power-identity,1,,True,0\n")
+    code, out, _ = run_cli(capsys, "limit", "--ratio", "--max-n", "2")
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()] == ["2"]
+    code, out, _ = run_cli(capsys, "verify", "--all", "--max-n", "3")
+    assert code == 0 and "balancing,3,,True,0" in out.splitlines()
+    code, out, _ = run_cli(capsys, "verify", "balancing", "--min-n", "5", "--max-n", "5")
+    assert code == 0 and out.splitlines()[1:] == ["balancing,5,,True,0"]
+
+
+def test_explicit_min_n_zero_is_not_the_default(capsys):
+    code, _, err = run_cli(capsys, "verify", "balancing", "--min-n", "0", "--max-n", "5")
+    assert code == 2
+    assert json.loads(err)["error"]["message"] == "balancing needs n >= 3, got 0"
+
+
 def test_limit_sizes_table(capsys):
     code, out, _ = run_cli(capsys, "limit", "--sizes", "5,10,20")
     assert code == 0

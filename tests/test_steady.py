@@ -2,16 +2,18 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balchain import steady
 from balchain.chains import (
+    KINDS,
     StochasticMatrix,
     balancing_chain,
     balancing_chain_q,
     balancing_like_chain,
     build,
+    family,
     lucas_chain,
     lucas_chain_q,
     lucas_cobalancing_chain,
@@ -184,6 +186,53 @@ def test_n_step_powers_of_two_converge_geometrically():
         distances.append(max(abs(p.entry(0, j) - pi[j]) for j in range(5)))
     assert all(later < earlier for earlier, later in zip(distances, distances[1:]))
     assert float(distances[-1]) < 1e-9
+
+
+def naive_power(m, k):
+    """Rows of P**k by k - 1 row-by-matrix products of Fractions."""
+    columns = list(zip(*m.rows()))
+    power = m.rows()
+    for _ in range(k - 1):
+        power = [
+            tuple(sum(x * c for x, c in zip(row, column) if c) for column in columns)
+            for row in power
+        ]
+    return power
+
+
+cell_values = st.one_of(
+    st.just(R(0)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(cell_values, min_size=n, max_size=n), min_size=n, max_size=n))
+    source = draw(st.sampled_from(["rows", "cells", "json"]))
+    if source == "cells":
+        cells = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+        return StochasticMatrix.from_cells(n, cells, label="m")
+    m = StochasticMatrix.from_rows(rows, label="m")
+    return matrix_from_json(matrix_to_json(m)) if source == "json" else m
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(), st.integers(1, 40))
+@example(StochasticMatrix.from_rows([[R(0), R(0)], [R(-1, 3), R(4, 5)]], label="m"), 3)
+@example(StochasticMatrix.from_rows([[R(0)]], label="m"), 5)
+def test_n_step_equals_repeated_products(m, k):
+    p = n_step(m, k)
+    assert p.rows() == naive_power(m, k)
+    assert p.label == f"pow(m,{k})"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_n_step_64_of_every_kind_equals_repeated_products(kind):
+    spec = KINDS[kind]
+    m = build(family(kind, 12, a=4 if spec.takes_a else None, q=R(1, 7)))
+    assert n_step(m, 64).rows() == naive_power(m, 64)
 
 
 def test_simulate_is_deterministic():
