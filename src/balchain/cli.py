@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .chains import (
@@ -20,7 +21,6 @@ from .chains import (
     ParameterError,
     StochasticMatrix,
     build,
-    family,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
@@ -28,16 +28,7 @@ from .chains import (
 )
 from .quadratic import float_upper, silver_ratio_gap
 from .sequences import NAMED_KINDS, balancing_like, sequence
-from .steady import (
-    ConvergenceError,
-    SolverError,
-    exact_vector_to_json,
-    float_vector_to_json,
-    power_iteration,
-    simulate,
-    solve_exact,
-    vector_to_csv,
-)
+from .steady import ConvergenceError, SolverError, power_iteration, simulate, solve_exact
 from .verify import (
     beta_power_row,
     q_invariance,
@@ -56,8 +47,6 @@ EXIT_VERIFY_FAILED = 3
 EXIT_SOLVER = 4
 
 _SEQ_KINDS = (*NAMED_KINDS, "balancing-like")
-# multipliers of the order-a kinds in the verify --all sweep
-_SWEEP_MULTIPLIERS = (2, 3, 4, 6, 10)
 
 
 class UsageError(Exception):
@@ -74,17 +63,21 @@ def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write results to this path")
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="balchain", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_seq = subs.add_parser("seq", help="emit sequence terms")
+    p_seq.set_defaults(handler=_cmd_seq)
     p_seq.add_argument("kind", choices=_SEQ_KINDS)
     p_seq.add_argument("--count", type=int, required=True)
     p_seq.add_argument("--a", type=int, default=None, help="multiplier for balancing-like")
     _add_io_flags(p_seq)
 
     p_chain = subs.add_parser("chain", help="emit a transition matrix")
+    p_chain.set_defaults(handler=_cmd_chain)
     p_chain.add_argument("family", choices=tuple(KINDS))
     p_chain.add_argument("--n", type=int, required=True)
     p_chain.add_argument("--a", type=int, default=None)
@@ -92,6 +85,7 @@ def _build_parser() -> _Parser:
     _add_io_flags(p_chain)
 
     p_solve = subs.add_parser("solve", help="stationary distribution of a chain")
+    p_solve.set_defaults(handler=_cmd_solve)
     p_solve.add_argument("family", nargs="?", choices=tuple(KINDS))
     p_solve.add_argument("--n", type=int, default=None)
     p_solve.add_argument("--a", type=int, default=None)
@@ -106,6 +100,7 @@ def _build_parser() -> _Parser:
     _add_io_flags(p_solve)
 
     p_verify = subs.add_parser("verify", help="check closed forms against the solver")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("family", nargs="?", choices=tuple(KINDS))
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument(
@@ -121,6 +116,7 @@ def _build_parser() -> _Parser:
     _add_io_flags(p_verify)
 
     p_limit = subs.add_parser("limit", help="convergence tables toward the infinite chain")
+    p_limit.set_defaults(handler=_cmd_limit)
     p_limit.add_argument("--sizes", default=None, help='comma list like "5,10,20"')
     p_limit.add_argument("--ratio", action="store_true", help="B(n-1)/B(n) gaps to the limit ratio")
     p_limit.add_argument("--max-n", type=int, default=None)
@@ -128,6 +124,70 @@ def _build_parser() -> _Parser:
     _add_io_flags(p_limit)
 
     return parser
+
+
+# Each scope: the usage error when none of its selectors is given, and the
+# optional flags each selector's mode accepts.  A selector is a flag's dest,
+# or "dest=value" for a positional's value.  Exactly one selector must be
+# given, and no flag that only other modes accept.  A single family's sizes
+# are a second scope inside verify's.
+_SCOPES: dict[str, tuple[str, dict[str, tuple[str, ...]]]] = {
+    "seq": ("", {f"kind={k}": ("a",) if k == "balancing-like" else () for k in _SEQ_KINDS}),
+    "solve": (
+        "solve needs a family or --matrix-file",
+        {"family": ("n", "a", "q"), "matrix_file": ()},
+    ),
+    "verify": (
+        "verify needs a family, --all, or --beta-powers",
+        {"family": ("n", "min_n", "max_n", "a", "q"), "all": ("max_n",), "beta_powers": ("max_n",)},
+    ),
+    "verify family": (
+        "verify needs --n or --max-n for a single family",
+        {"n": (), "max_n": ("min_n",)},
+    ),
+    "limit": ("limit needs --sizes or --ratio", {"sizes": (), "ratio": ("max_n",)}),
+}
+# --max-n default and least value in the modes where it is optional
+_MAX_N = {"all": (25, 3), "beta_powers": (100, 1), "ratio": (10, 2)}
+
+
+def _given(args: argparse.Namespace, selector: str) -> bool:
+    dest, _, value = selector.partition("=")
+    got = getattr(args, dest)
+    # an explicit 0 is given; "" is not, as it never selected a mode
+    return got == value if value else got not in (None, "") and got is not False
+
+
+def _flag(args: argparse.Namespace, selector: str) -> str:
+    """How a message names a selector: a positional by its value."""
+    dest, _, value = selector.partition("=")
+    if dest in ("kind", "family"):
+        return value or getattr(args, dest)
+    return "--" + dest.replace("_", "-")
+
+
+def _scope(args: argparse.Namespace, name: str) -> tuple[str, int | None]:
+    """The selector of the mode args choose in scope ``name``, and --max-n
+    (the mode's default when absent).  Two selectors, or a flag of the
+    scope set outside the chosen mode, is a UsageError naming both flags."""
+    missing, modes = _SCOPES[name]
+    given = [selector for selector in modes if _given(args, selector)]
+    if not given:
+        raise UsageError(missing)
+    if len(given) > 1:
+        raise UsageError(f"{_flag(args, given[1])} cannot be combined with {_flag(args, given[0])}")
+    selector, chosen = given[0], _flag(args, given[0])
+    for dest in [dest for takes in modes.values() for dest in takes]:
+        if dest not in modes[selector] and _given(args, dest):
+            raise UsageError(f"{_flag(args, dest)} cannot be combined with {chosen}")
+    max_n = getattr(args, "max_n", None)
+    if selector in _MAX_N:
+        default, least = _MAX_N[selector]
+        if max_n is None:
+            max_n = default
+        elif max_n < least:
+            raise UsageError(f"--max-n must be >= {least} for {chosen}")
+    return selector, max_n
 
 
 def _parse_q(text: str) -> Fraction:
@@ -145,18 +205,17 @@ def _make_family(kind: str, n: int | None, a: int | None, q: str | None) -> Chai
         raise UsageError(f"family {kind} requires --a")
     if spec.takes_q and q is None:
         raise UsageError(f"family {kind} requires --q")
-    return family(kind, n, a, _parse_q(q) if spec.takes_q else None)
+    return ChainFamily(kind, n, a, None if q is None else _parse_q(q))
 
 
 def _cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
+    _scope(args, "seq")
     if args.count < 0:
         raise UsageError(f"--count must be >= 0, got {args.count}")
-    if args.kind == "balancing-like":
-        if args.a is None:
-            raise UsageError("seq balancing-like requires --a")
-        kind = balancing_like(args.a)
-    else:
-        kind = NAMED_KINDS[args.kind]
+    if args.kind == "balancing-like" and args.a is None:
+        raise UsageError("seq balancing-like requires --a")
+    # the scope check allows --a only with balancing-like
+    kind = NAMED_KINDS[args.kind] if args.a is None else balancing_like(args.a)
     terms = sequence(kind, args.count)
     if args.format == "json":
         return json.dumps([str(t) for t in terms]), EXIT_OK
@@ -192,70 +251,51 @@ def _require_chain(matrix: StochasticMatrix, method: str) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
-    if args.matrix_file:
+    source, _ = _scope(args, "solve")
+    if source == "matrix_file":
         matrix = matrix_from_json(Path(args.matrix_file).read_text())
         _require_chain(matrix, args.method)
-    elif args.family:
-        matrix = build(_make_family(args.family, args.n, args.a, args.q))
     else:
-        raise UsageError("solve needs a family or --matrix-file")
+        matrix = build(_make_family(args.family, args.n, args.a, args.q))
     if args.method == "exact":
         pi = solve_exact(matrix)
-        if args.format == "json":
-            return exact_vector_to_json(pi), EXIT_OK
-        return vector_to_csv(pi), EXIT_OK
-    if args.method == "power":
-        vector, iterations = power_iteration(matrix, tol=args.tol, max_iter=args.max_iter)
-        if args.format == "json":
-            payload = json.loads(float_vector_to_json(vector, args.tol))
-            payload["iterations"] = iterations
-            return json.dumps(payload), EXIT_OK
-        return vector_to_csv(vector), EXIT_OK
-    result = simulate(matrix, steps=args.steps, seed=args.seed, start=args.start)
+        payload = {"pi": [str(x) for x in pi]}
+    elif args.method == "power":
+        pi, iterations = power_iteration(matrix, tol=args.tol, max_iter=args.max_iter)
+        payload = {"pi": pi, "tol": args.tol, "iterations": iterations}
+    else:
+        result = simulate(matrix, steps=args.steps, seed=args.seed, start=args.start)
+        pi = list(result.empirical)
+        payload = {
+            "pi": pi,
+            "steps": result.steps,
+            "seed": result.seed,
+            "start": args.start,
+            "visits": list(result.visits),
+            "rng": result.rng,
+        }
     if args.format == "json":
-        return (
-            json.dumps(
-                {
-                    "pi": list(result.empirical),
-                    "steps": result.steps,
-                    "seed": result.seed,
-                    "start": args.start,
-                    "visits": list(result.visits),
-                    "rng": result.rng,
-                }
-            ),
-            EXIT_OK,
-        )
-    return vector_to_csv(list(result.empirical)), EXIT_OK
-
-
-def _verify_range(kind: str, sizes: range, a: int | None, q: str | None) -> list[dict]:
-    return [report_row(verify_family(_make_family(kind, n, a, q))) for n in sizes]
-
-
-def _max_n(value: int | None, default: int, least: int, mode: str) -> int:
-    """--max-n, or the mode's default when it is absent; below least is an error."""
-    if value is None:
-        return default
-    if value < least:
-        raise UsageError(f"--max-n must be >= {least} for {mode}")
-    return value
+        return json.dumps(payload), EXIT_OK
+    # str of a float is its shortest round-trip repr
+    return "\n".join(map(str, pi)), EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    rows: list[dict] = []
-    if args.beta_powers:
-        rows.append(beta_power_row(_max_n(args.max_n, 100, 1, "--beta-powers")))
-    elif args.all:
-        max_n = _max_n(args.max_n, 25, 3, "--all")
-        # every q-free kind from its minimum size, the order-a kinds last
+    mode, max_n = _scope(args, "verify")
+    if mode == "beta_powers":
+        rows = [beta_power_row(max_n)]
+    elif mode == "all":
+        # every q-free kind from its minimum size, the order-a kinds last at a = 2, 3, 4, 6, 10
         base_kinds = sorted(
             (spec for spec in KINDS.values() if not spec.takes_q),
             key=lambda spec: (spec.takes_a, spec.min_n),
         )
-        for spec in base_kinds:
-            for a in _SWEEP_MULTIPLIERS if spec.takes_a else (None,):
-                rows.extend(_verify_range(spec.name, range(spec.min_n, max_n + 1), a, None))
+        rows = [
+            report_row(verify_family(ChainFamily(spec.name, n, a)))
+            for spec in base_kinds
+            for a in ((2, 3, 4, 6, 10) if spec.takes_a else (None,))
+            for n in range(spec.min_n, max_n + 1)
+        ]
         # each q-family at n = 10 and q = 1/coeff, 1/(coeff + 1), 1/100
         for spec in base_kinds:
             if spec.name + "-q" in KINDS:
@@ -264,19 +304,17 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
                 q_values = [Fraction(1, coeff), Fraction(1, coeff + 1), Fraction(1, 100)]
                 rows.append(q_invariance_row(q_invariance(10, q_values, spec.name, a=a)))
         rows.append(beta_power_row(100))
-    elif args.family:
-        if args.n is not None:
-            sizes = range(args.n, args.n + 1)
-        elif args.max_n is not None:
-            low = KINDS[args.family].min_n if args.min_n is None else args.min_n
-            if args.max_n < low:
-                raise UsageError(f"--max-n {args.max_n} is below the first size {low}")
-            sizes = range(low, args.max_n + 1)
-        else:
-            raise UsageError("verify needs --n or --max-n for a single family")
-        rows.extend(_verify_range(args.family, sizes, args.a, args.q))
     else:
-        raise UsageError("verify needs a family, --all, or --beta-powers")
+        sizes, max_n = _scope(args, "verify family")
+        low = KINDS[args.family].min_n if args.min_n is None else args.min_n
+        if sizes == "n":
+            low = max_n = args.n
+        elif max_n < low:
+            raise UsageError(f"--max-n {max_n} is below the first size {low}")
+        rows = [
+            report_row(verify_family(_make_family(args.family, n, args.a, args.q)))
+            for n in range(low, max_n + 1)
+        ]
 
     all_ok = all(r["exact_match"] for r in rows)
     code = EXIT_OK if all_ok else EXIT_VERIFY_FAILED
@@ -286,13 +324,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
-    if args.ratio:
-        max_n = _max_n(args.max_n, 10, 2, "--ratio")
-        table = [
-            (n, float_upper(silver_ratio_gap(n, args.digits)))
-            for n in range(2, max_n + 1)
-        ]
-    elif args.sizes:
+    mode, max_n = _scope(args, "limit")
+    if mode == "ratio":
+        table = [(n, float_upper(silver_ratio_gap(n, args.digits))) for n in range(2, max_n + 1)]
+    else:
         try:
             sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         except ValueError as exc:
@@ -300,20 +335,9 @@ def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
         if not sizes or min(sizes) < 3:
             raise UsageError("--sizes must list integers >= 3")
         table = truncation_convergence(sizes, digits=args.digits)
-    else:
-        raise UsageError("limit needs --sizes or --ratio")
     if args.format == "json":
         return json.dumps([{"n": n, "gap": gap} for n, gap in table]), EXIT_OK
     return "\n".join(f"{n},{gap!r}" for n, gap in table), EXIT_OK
-
-
-_HANDLERS = {
-    "seq": _cmd_seq,
-    "chain": _cmd_chain,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "limit": _cmd_limit,
-}
 
 
 def _fail(code: int, message: str) -> int:
@@ -322,13 +346,12 @@ def _fail(code: int, message: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # --help has printed its text and exits 0
             return exc.code
-        text, code = _HANDLERS[args.command](args)
+        text, code = args.handler(args)
         if args.out:
             Path(args.out).write_text(text + "\n")
         else:

@@ -12,7 +12,6 @@ share no code, so agreement between them is a meaningful check.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -29,9 +28,6 @@ __all__ = [
     "power_iteration",
     "n_step",
     "simulate",
-    "vector_to_csv",
-    "exact_vector_to_json",
-    "float_vector_to_json",
 ]
 
 RNG_ALGORITHM = "mt19937"
@@ -251,15 +247,3 @@ def simulate(
         visits=tuple(visits), steps=steps, seed=seed, empirical=empirical
     )
 
-
-def vector_to_csv(values: list) -> str:
-    """One probability per line; fractions as num/den, floats as repr."""
-    return "\n".join(str(x) if isinstance(x, Fraction) else repr(x) for x in values)
-
-
-def exact_vector_to_json(pi: list[Fraction]) -> str:
-    return json.dumps({"pi": [str(x) for x in pi]})
-
-
-def float_vector_to_json(pi: list[float], tol: float) -> str:
-    return json.dumps({"pi": list(pi), "tol": tol})

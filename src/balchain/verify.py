@@ -11,7 +11,6 @@ rational error bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,8 +47,6 @@ __all__ = [
     "q_invariance_row",
     "beta_power_row",
     "rows_to_csv",
-    "report_to_json",
-    "reports_to_csv",
 ]
 
 
@@ -142,11 +139,14 @@ def q_invariance(
 
 
 def truncation_gap_bound(n: int, window: int = 8, digits: int = 50) -> Fraction:
-    """Certified L-infinity bound between the size-n chain and the limit.
+    """Certified bound on the largest gap over the first min(n, window)
+    entries of the size-n chain's stationary vector and of the limit.
 
-    Compares the first min(n, window) exact stationary probabilities of the
-    truncated chain against the ring values BETA**i - BETA**(i+1), enclosing
-    the latter at the given decimal precision.
+    Each exact probability is compared with BETA**i - BETA**(i+1) enclosed
+    at ``digits`` decimal digits.  Later entries are not compared, though
+    the whole vector's largest gap is at the last one (about 0.83*BETA**n),
+    and once the head gaps fall below the enclosure's width (near n = 40 at
+    50 digits) the bound is that width.
     """
     if n < 3:
         raise ValueError(f"size must be >= 3, got {n}")
@@ -160,7 +160,8 @@ def truncation_gap_bound(n: int, window: int = 8, digits: int = 50) -> Fraction:
 def truncation_convergence(
     sizes: list[int], window: int = 8, digits: int = 50
 ) -> list[tuple[int, float]]:
-    """(n, gap) rows for each requested size; gaps round up, never down."""
+    """(n, truncation_gap_bound(n, window, digits)) rounded up to a float,
+    for each requested size: a bound over the first min(n, window) entries."""
     if not sizes:
         raise ValueError("need at least one size")
     return [(n, float_upper(truncation_gap_bound(n, window, digits))) for n in sizes]
@@ -256,16 +257,3 @@ def rows_to_csv(rows: list[dict]) -> str:
         lines.append(f"{r['family']},{r['n']},{params},{r['exact_match']},{r['max_gap']}")
     return "\n".join(lines)
 
-
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(
-        {
-            **report_row(report),
-            "predicted": [str(x) for x in report.predicted],
-            "solved": [str(x) for x in report.solved],
-        }
-    )
-
-
-def reports_to_csv(reports: list[VerificationReport]) -> str:
-    return rows_to_csv([report_row(r) for r in reports])

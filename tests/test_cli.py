@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from balchain.cli import main
+from balchain.chains import balancing_chain, build, matrix_to_json
+from balchain.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +324,71 @@ def test_explicit_min_n_zero_is_not_the_default(capsys):
     code, _, err = run_cli(capsys, "verify", "balancing", "--min-n", "0", "--max-n", "5")
     assert code == 2
     assert json.loads(err)["error"]["message"] == "balancing needs n >= 3, got 0"
+
+
+MATRIX_FILE = "{matrix_file}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "balancing", "--all"), "--all cannot be combined with balancing"),
+        (("verify", "--all", "--beta-powers"), "--beta-powers cannot be combined with --all"),
+        (("verify", "balancing", "--n", "5", "--max-n", "2"), "--max-n cannot be combined with --n"),
+        (("limit", "--ratio", "--sizes", "5"), "--ratio cannot be combined with --sizes"),
+        (("verify", "--all", "--n", "7"), "--n cannot be combined with --all"),
+        (("verify", "--beta-powers", "--a", "4"), "--a cannot be combined with --beta-powers"),
+        (("verify", "balancing", "--n", "5", "--min-n", "4"), "--min-n cannot be combined with --n"),
+        (("limit", "--sizes", "5", "--max-n", "9"), "--max-n cannot be combined with --sizes"),
+        (
+            ("solve", "--matrix-file", MATRIX_FILE, "balancing"),
+            "--matrix-file cannot be combined with balancing",
+        ),
+        (
+            ("solve", "--matrix-file", MATRIX_FILE, "--n", "5"),
+            "--n cannot be combined with --matrix-file",
+        ),
+        (("seq", "pell", "--count", "3", "--a", "9"), "--a cannot be combined with pell"),
+        # a flag the family's kind does not take
+        (("chain", "balancing", "--n", "4", "--a", "3"), "balancing takes no multiplier a, got 3"),
+        (
+            ("chain", "balancing", "--n", "4", "--q", "1/7"),
+            "balancing takes no step probability q, got 1/7",
+        ),
+        (("chain", "balancing", "--n", "4", "--q", "garbage"), "cannot parse fraction 'garbage': "),
+        (("solve", "lucas", "--n", "4", "--a", "3"), "lucas takes no multiplier a, got 3"),
+        (
+            ("verify", "pell-ratio", "--n", "4", "--q", "1/7"),
+            "pell-ratio takes no step probability q, got 1/7",
+        ),
+    ],
+    ids=" ".join,
+)
+def test_flags_outside_the_chosen_mode_are_parameter_errors(capsys, tmp_path, argv, message):
+    path = tmp_path / "chain.json"
+    path.write_text(matrix_to_json(build(balancing_chain(4))))
+    code, out, err = run_cli(capsys, *(str(path) if a == MATRIX_FILE else a for a in argv))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == 2
+    assert error["message"].startswith(message)
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys):
+    assert _build_parser() is _build_parser()
+    code, out, _ = run_cli(capsys, "seq", "balancing-like", "--a", "3", "--count", "4")
+    assert (code, out) == (0, "0\n1\n3\n8\n")
+    code, out, err = run_cli(capsys, "seq", "balancing-like", "--count", "4")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == "seq balancing-like requires --a"
+    code, out, _ = run_cli(capsys, "verify", "--beta-powers", "--max-n", "1")
+    assert (code, out.splitlines()[1]) == (0, "beta-power-identity,1,,True,0")
+    code, out, _ = run_cli(capsys, "verify", "balancing", "--n", "3")
+    assert (code, out.splitlines()[1:]) == (0, ["balancing,3,,True,0"])
+    code, out, _ = run_cli(capsys, "limit", "--ratio", "--max-n", "2")
+    assert code == 0 and out.startswith("2,")
+    code, out, _ = run_cli(capsys, "limit", "--sizes", "3")
+    assert code == 0 and out.startswith("3,")
 
 
 def test_limit_sizes_table(capsys):

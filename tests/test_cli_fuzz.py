@@ -1,9 +1,12 @@
 """Fuzz the CLI: every argv and matrix file ends in exit 0, 2, 3 or 4.
 
-Sizes and iteration counts stay small (n <= 5, --steps and --max-iter
-<= 1000, --count and --max-n <= 30) so the whole run takes a few seconds.
-A nonzero exit must leave exactly one JSON error object on stderr whose
-code is the exit code.
+Each command draws any subset of its mode selectors (a family, --all,
+--beta-powers, --matrix-file, --sizes, --ratio), so conflicting scopes
+are drawn too.  Sizes and iteration counts stay small (n <= 5, --steps
+and --max-iter <= 1000, --count and --max-n <= 30) so the whole run takes
+a few seconds.  A nonzero exit must leave exactly one JSON error object
+on stderr whose code is the exit code, and exits 2 and 4 print nothing
+on stdout.
 """
 
 import io
@@ -74,6 +77,10 @@ def _opt(flag: str, values) -> st.SearchStrategy:
     return st.one_of(st.just(()), values.map(lambda v: (flag, str(v))))
 
 
+def _opt_positional(values) -> st.SearchStrategy:
+    return st.one_of(st.just(()), values.map(lambda v: (v,)))
+
+
 def _seq():
     return st.tuples(
         st.just(("seq",)),
@@ -95,10 +102,10 @@ def _chain():
 
 
 def _solve():
-    source = st.one_of(KIND.map(lambda k: (k,)), st.just(()), st.just(("--matrix-file", "{file}")))
     return st.tuples(
         st.just(("solve",)),
-        source,
+        st.sampled_from([(), ("--matrix-file", "{file}")]),
+        _opt_positional(KIND),
         _family_flags(),
         _opt("--method", st.sampled_from(["exact", "power", "simulate", "magic"])),
         _opt("--tol", TOL_TEXT),
@@ -111,12 +118,11 @@ def _solve():
 
 
 def _verify():
-    scope = st.one_of(
-        KIND.map(lambda k: (k,)), st.just(("--all",)), st.just(("--beta-powers",)), st.just(())
-    )
     return st.tuples(
         st.just(("verify",)),
-        scope,
+        _opt_positional(KIND),
+        st.sampled_from([(), ("--all",)]),
+        st.sampled_from([(), ("--beta-powers",)]),
         _family_flags(),
         _opt("--min-n", st.integers(-1, 5)),
         _opt("--max-n", st.integers(-1, 30)),
@@ -150,6 +156,8 @@ def test_every_command_line_ends_in_a_documented_exit(argv, matrix_text):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2, 3, 4)
+    if code in (2, 4):
+        assert out.getvalue() == ""
     if code == 0:
         assert err.getvalue() == ""
     else:

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -22,8 +21,8 @@ from balchain.verify import (
     closed_form,
     infinite_recursion_identity,
     q_invariance,
-    report_to_json,
-    reports_to_csv,
+    report_row,
+    rows_to_csv,
     truncation_convergence,
     truncation_gap_bound,
     unnormalized_recursion_check,
@@ -190,14 +189,14 @@ def test_truncated_solution_tracks_infinite_entries():
 
 def test_report_serialization():
     report = verify_family(lucas_cobalancing_chain(4))
-    payload = json.loads(report_to_json(report))
-    assert payload["family"] == "lucas-cobalancing"
-    assert payload["n"] == 4
-    assert payload["exact_match"] is True
-    assert payload["max_gap"] == "0"
-    assert payload["solved"][0] == "239/288"
+    row = report_row(report)
+    assert row["family"] == "lucas-cobalancing"
+    assert row["n"] == 4
+    assert row["exact_match"] is True
+    assert row["max_gap"] == "0"
+    assert str(report.solved[0]) == "239/288"
 
-    csv_text = reports_to_csv([report, verify_family(balancing_like_chain(5, 3))])
+    csv_text = rows_to_csv([row, report_row(verify_family(balancing_like_chain(5, 3)))])
     lines = csv_text.splitlines()
     assert lines[0] == "family,n,params,exact_match,max_gap"
     assert lines[1] == "lucas-cobalancing,4,,True,0"
