@@ -16,7 +16,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from .chains import StochasticMatrix
 
@@ -69,9 +71,12 @@ def solve_exact(m: StochasticMatrix) -> list[Fraction]:
         P[j-1][j]*pi[j-1] + P[j][j]*pi[j] + P[j+1][j]*pi[j+1] == pi[j],
 
     so pi is back-substituted from pi[n-1] = 1 in O(n) and then normalized.
-    Any other matrix goes to fraction Gaussian elimination.  Both routes
-    solve the same system, so they return equal fractions, and both raise
-    SolverError when it is singular.
+    The back-substitution runs on integer numerators over D, the lcm of the
+    band's denominators, and reduces each entry of pi once, where Fraction
+    arithmetic would take a gcd on every step.  Any other matrix goes to
+    fraction Gaussian elimination.  Both routes solve the same system, so
+    they return equal fractions, and both raise SolverError when it is
+    singular.
     """
     band = m.band()
     if m.n and band is not None and all(band[3][: m.n - 1]):
@@ -82,21 +87,35 @@ def solve_exact(m: StochasticMatrix) -> list[Fraction]:
 def _solve_band(
     sub: tuple[Fraction, ...], diag: tuple[Fraction, ...], sup: tuple[Fraction, ...]
 ) -> list[Fraction]:
-    """Back-substitute the column balance recurrence; sup[:n-1] is nonzero."""
+    """Back-substitute the column balance recurrence; sup[:n-1] is nonzero.
+
+    With D the lcm of the band's denominators, b, s and c hold D*sub,
+    D*diag and D*sup as ints.  Scaled by D, the recurrence becomes
+    c[j-1]*pi[j-1] == (D - s[j])*pi[j] - b[j+1]*pi[j+1].  Writing
+    pi[j] = x[j] / (c[j]*...*c[n-2]) clears the division:
+    x[j-1] = x[j]*(D - s[j]) - x[j+1]*b[j+1]*c[j] from x[n-1] = 1, all on
+    plain ints.  So pi is proportional to w[j] = x[j]*c[0]*...*c[j-1], and
+    each entry is reduced once, as w[j] over sum(w).
+    """
     n = len(diag)
-    pi = [Fraction(0)] * n
-    pi[n - 1] = Fraction(1)
+    d = lcm(*{f.denominator for cells in (sub, diag, sup) for f in cells})
+    b, s, c = (
+        [f.numerator * (d // f.denominator) for f in cells] for cells in (sub, diag, sup)
+    )
+    x = [0] * n
+    x[n - 1] = 1
     for j in range(n - 1, 0, -1):
-        inflow = pi[j] * (1 - diag[j])
+        v = x[j] * (d - s[j])
         if j + 1 < n:
-            inflow -= pi[j + 1] * sub[j + 1]
-        pi[j - 1] = inflow / sup[j - 1]
-    total = sum(pi)
+            v -= x[j + 1] * b[j + 1] * c[j]
+        x[j - 1] = v
+    w = [v * p for v, p in zip(x, accumulate(c, mul, initial=1))]
+    total = sum(w)
     if total == 0:
         raise SolverError(
             "singular balance system; the chain is not irreducible/aperiodic"
         )
-    return [x / total for x in pi]
+    return [Fraction(v, total) for v in w]
 
 
 def _solve_gauss(m: StochasticMatrix) -> list[Fraction]:

@@ -100,13 +100,15 @@ def verify_family(family: ChainFamily) -> VerificationReport:
     """Compare the closed form against the exact solver, entry by entry."""
     predicted = closed_form(family)
     solved = solve_exact(build(family))
-    gaps = [abs(p - s) for p, s in zip(predicted, solved)]
-    max_gap = max(gaps) if gaps else Fraction(0)
+    exact_match = predicted == solved
+    max_gap = Fraction(0)
+    if not exact_match:
+        max_gap = max(abs(p - s) for p, s in zip(predicted, solved))
     return VerificationReport(
         family=family,
         predicted=predicted,
         solved=solved,
-        exact_match=predicted == solved,
+        exact_match=exact_match,
         max_gap=max_gap,
         notes=KINDS[family.kind].note,
     )

@@ -310,6 +310,26 @@ def band_rows(arrays):
 
 
 @given(band_matrices())
+# denominators whose lcm is large: 994 * 11 * 13
+@example(
+    [
+        [R(1, 2), R(1, 994), R(3, 7), R(5, 11)],
+        [R(0), R(3, 7), R(1, 994), R(2, 13)],
+        [R(0), R(5, 11), R(3, 7), R(1, 994)],
+        [R(3, 7), R(1, 994), R(2, 13), R(0)],
+    ]
+)
+# a negative superdiagonal cell
+@example(
+    [
+        [R(1, 2), R(1, 3), R(1, 6), R(1, 2)],
+        [R(0), R(1, 3), R(1, 2), R(1, 4)],
+        [R(1, 3), R(1, 6), R(5, 6), R(1, 4)],
+        [R(1, 6), R(-1, 4), R(1, 3), R(0)],
+    ]
+)
+@example([[R(1, 3)], [R(0)], [R(0)], [R(0)]])  # n = 1
+@example([[R(2, 3), R(1, 4)], [R(0), R(1, 4)], [R(0), R(1, 2)], [R(1, 3), R(0)]])  # n = 2
 def test_band_route_equals_gaussian_elimination(arrays):
     dense = StochasticMatrix.from_rows(band_rows(arrays))
     reference = solve_or_singular(_solve_gauss, dense)
@@ -324,6 +344,40 @@ def test_band_route_singular_system_raises_both_ways():
     for solver in (solve_exact, _solve_gauss):
         with pytest.raises(SolverError):
             solver(m)
+
+
+def sweep_cases():
+    """Every kind, balancing-like at a = 5, q-kinds at q = 1/coeff and
+    q = 1/(coeff + 94)."""
+    for kind, spec in KINDS.items():
+        a = 5 if spec.takes_a else None
+        coeff = a or 6
+        for q in (R(1, coeff), R(1, coeff + 94)) if spec.takes_q else (None,):
+            yield pytest.param(kind, a, q, id=f"{kind}-q={q}" if q else kind)
+
+
+@pytest.mark.parametrize("kind, a, q", sweep_cases())
+def test_band_route_equals_elimination_on_every_family(kind, a, q):
+    for n in range(KINDS[kind].min_n, 61):
+        m = build(family(kind, n, a, q))
+        assert solve_exact(m) == _solve_gauss(m), f"{kind} n={n}"
+
+
+def assert_exactly_stationary(m, pi):
+    """pi*P == pi and sum(pi) == 1 in Fractions, over the nonzero cells."""
+    assert sum(pi) == 1
+    pi_p = [R(0)] * m.n
+    for i in range(m.n):
+        for j, x in m.nonzeros(i):
+            pi_p[j] += pi[i] * x
+    assert pi_p == pi
+
+
+@pytest.mark.parametrize("n", [150, 400])
+@pytest.mark.parametrize("kind, a, q", sweep_cases())
+def test_large_band_solves_are_exactly_stationary(kind, a, q, n):
+    m = build(family(kind, n, a, q))
+    assert_exactly_stationary(m, solve_exact(m))
 
 
 def test_zero_superdiagonal_falls_back_to_elimination(monkeypatch):

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from balchain import verify
 from balchain.chains import (
     ParameterError,
     balancing_chain,
@@ -14,6 +16,7 @@ from balchain.chains import (
     pell_ratio_chain,
     truncated_infinite_chain,
 )
+from balchain.cli import main
 from balchain.quadratic import BETA, ONE, gap_bound, infinite_steady_state
 from balchain.sequences import BALANCING, COBALANCING, PELL, sequence, term
 from balchain.steady import solve_exact
@@ -201,3 +204,33 @@ def test_report_serialization():
     assert lines[0] == "family,n,params,exact_match,max_gap"
     assert lines[1] == "lucas-cobalancing,4,,True,0"
     assert lines[2] == "balancing-like,5,a=3,True,0"
+
+
+NUDGE = R(1, 10**9)
+
+
+@pytest.fixture
+def nudged_solver(monkeypatch):
+    """verify's solver, with pi[1] moved up and pi[3] down by NUDGE."""
+
+    def nudged(m):
+        pi = solve_exact(m)
+        pi[1] += NUDGE
+        pi[3] -= NUDGE
+        return pi
+
+    monkeypatch.setattr(verify, "solve_exact", nudged)
+
+
+def test_verify_family_mismatch_reports_the_largest_gap(nudged_solver):
+    report = verify_family(balancing_chain(5))
+    assert report.exact_match is False
+    assert report.max_gap == NUDGE
+
+
+def test_verify_cli_mismatch_exits_3_and_prints_the_row(nudged_solver, capsys):
+    code = main(["verify", "balancing", "--n", "5"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out.splitlines()[1] == "balancing,5,,False,1/1000000000"
+    assert json.loads(err)["error"]["code"] == 3
