@@ -27,7 +27,7 @@ from .chains import (
     validate,
 )
 from .quadratic import float_upper, silver_ratio_gap
-from .sequences import NAMED_KINDS, balancing_like, sequence
+from .sequences import NAMED_KINDS, _decimal_terms, balancing_like
 from .steady import ConvergenceError, SolverError, power_iteration, simulate, solve_exact
 from .verify import (
     beta_power_row,
@@ -92,11 +92,11 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--q", default=None)
     p_solve.add_argument("--matrix-file", default=None, help="JSON matrix from `chain --format json`")
     p_solve.add_argument("--method", choices=("exact", "power", "simulate"), default="exact")
-    p_solve.add_argument("--tol", type=float, default=1e-12)
-    p_solve.add_argument("--max-iter", type=int, default=10**6)
-    p_solve.add_argument("--steps", type=int, default=10**6)
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--start", type=int, default=0)
+    p_solve.add_argument("--tol", type=float, default=None)
+    p_solve.add_argument("--max-iter", type=int, default=None)
+    p_solve.add_argument("--steps", type=int, default=None)
+    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--start", type=int, default=None)
     _add_io_flags(p_solve)
 
     p_verify = subs.add_parser("verify", help="check closed forms against the solver")
@@ -137,6 +137,14 @@ _SCOPES: dict[str, tuple[str, dict[str, tuple[str, ...]]]] = {
         "solve needs a family or --matrix-file",
         {"family": ("n", "a", "q"), "matrix_file": ()},
     ),
+    "solve method": (
+        "",
+        {
+            "method=exact": (),
+            "method=power": ("tol", "max_iter"),
+            "method=simulate": ("steps", "seed", "start"),
+        },
+    ),
     "verify": (
         "verify needs a family, --all, or --beta-powers",
         {"family": ("n", "min_n", "max_n", "a", "q"), "all": ("max_n",), "beta_powers": ("max_n",)},
@@ -149,6 +157,8 @@ _SCOPES: dict[str, tuple[str, dict[str, tuple[str, ...]]]] = {
 }
 # --max-n default and least value in the modes where it is optional
 _MAX_N = {"all": (25, 3), "beta_powers": (100, 1), "ratio": (10, 2)}
+# solve's method flags, filled in after the scope check has seen what was given
+_SOLVE_DEFAULTS = {"tol": 1e-12, "max_iter": 10**6, "steps": 10**6, "seed": 0, "start": 0}
 
 
 def _given(args: argparse.Namespace, selector: str) -> bool:
@@ -159,11 +169,13 @@ def _given(args: argparse.Namespace, selector: str) -> bool:
 
 
 def _flag(args: argparse.Namespace, selector: str) -> str:
-    """How a message names a selector: a positional by its value."""
+    """How a message names a selector: a positional by its value, and an
+    option's value after the option."""
     dest, _, value = selector.partition("=")
     if dest in ("kind", "family"):
         return value or getattr(args, dest)
-    return "--" + dest.replace("_", "-")
+    option = "--" + dest.replace("_", "-")
+    return f"{option} {value}" if value else option
 
 
 def _scope(args: argparse.Namespace, name: str) -> tuple[str, int | None]:
@@ -216,10 +228,10 @@ def _cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
         raise UsageError("seq balancing-like requires --a")
     # the scope check allows --a only with balancing-like
     kind = NAMED_KINDS[args.kind] if args.a is None else balancing_like(args.a)
-    terms = sequence(kind, args.count)
+    terms = _decimal_terms(kind, args.count)
     if args.format == "json":
-        return json.dumps([str(t) for t in terms]), EXIT_OK
-    return "\n".join(str(t) for t in terms), EXIT_OK
+        return json.dumps(terms), EXIT_OK
+    return "\n".join(terms), EXIT_OK
 
 
 def _cmd_chain(args: argparse.Namespace) -> tuple[str, int]:
@@ -252,6 +264,10 @@ def _require_chain(matrix: StochasticMatrix, method: str) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     source, _ = _scope(args, "solve")
+    _scope(args, "solve method")
+    for dest, default in _SOLVE_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if source == "matrix_file":
         matrix = matrix_from_json(Path(args.matrix_file).read_text())
         _require_chain(matrix, args.method)

@@ -9,7 +9,23 @@ one second-order recurrence engine with exact arbitrary-precision integers.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from math import isqrt
 
 __all__ = [
@@ -92,16 +108,59 @@ def term(kind: SequenceKind, n: int) -> int:
     return p * r.x1 + q * r.x0 + u
 
 
-def sequence(kind: SequenceKind, count: int) -> list[int]:
-    """First ``count`` terms, starting at index 0."""
+def _recurrence(r: RecurrenceSpec, count: int, prev, cur) -> Iterator:
+    """x[0], ..., x[count-1] from x[0] = prev and x[1] = cur, computed in
+    the type of the start values (int, or Decimal under an exact context)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    r = kind.recurrence
-    out: list[int] = []
-    prev, cur = r.x0, r.x1
+    coeff, back, shift = r.coeff, r.back, r.shift
     for _ in range(count):
-        out.append(prev)
-        prev, cur = cur, r.coeff * cur + r.back * prev + r.shift
+        yield prev
+        # the shift is added last, so an exact zero is +0 in Decimal too
+        prev, cur = cur, coeff * cur + back * prev + shift
+
+
+def sequence(kind: SequenceKind, count: int) -> list[int]:
+    """First ``count`` terms as ints, starting at index 0.
+
+    This is the int reference; ``seq`` prints the same recurrence run in
+    ``Decimal`` (``_decimal_terms``).
+    """
+    r = kind.recurrence
+    return list(_recurrence(r, count, r.x0, r.x1))
+
+
+# Integer arithmetic in Decimal: a result that would be rounded or would
+# overflow raises instead, so every step that returns is exact.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    rounding=ROUND_HALF_EVEN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+
+
+def _decimal_terms(kind: SequenceKind, count: int) -> list[str]:
+    """The first ``count`` terms in decimal, each string equal to ``str`` of
+    the int that ``sequence`` returns, in time linear in the output size.
+
+    The recurrence runs in ``Decimal`` under a local exact context, since
+    ``str(Decimal)`` is linear in the digits where ``str(int)`` is
+    quadratic.  The interpreter's int-to-str limit still applies: the first
+    term with more digits than ``sys.get_int_max_str_digits()`` (0 or
+    absent means no limit) is converted with ``str(int)``, which raises the
+    interpreter's own ``ValueError``, and no later term is computed.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    r = kind.recurrence
+    out: list[str] = []
+    with localcontext(_EXACT):
+        for x in _recurrence(r, count, Decimal(r.x0), Decimal(r.x1)):
+            # adjusted() is the digit count less one, whatever the sign
+            if limit and x.adjusted() >= limit:
+                str(int(x))  # raises the interpreter's own ValueError
+            out.append(str(x))
     return out
 
 

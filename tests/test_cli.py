@@ -1,17 +1,55 @@
+import decimal
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import cache
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from balchain.chains import balancing_chain, build, matrix_to_json
 from balchain.cli import _build_parser, main
+from balchain.sequences import NAMED_KINDS, RecurrenceSpec, SequenceKind, sequence
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def int_str_limit() -> int:
+    """The process's int-to-str digit limit; 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextmanager
+def int_str_digits(limit: int):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def str_int_lines(kind: SequenceKind, count: int) -> tuple[list[str], str | None]:
+    """str() of each int of sequence() up to the first one the interpreter
+    refuses, and the message it refuses with (None if it refuses none)."""
+    lines = []
+    for t in sequence(kind, count):
+        try:
+            lines.append(str(t))
+        except ValueError as exc:
+            return lines, str(exc)
+    return lines, None
 
 
 def test_seq_csv(capsys):
@@ -38,6 +76,118 @@ def test_seq_balancing_like_needs_multiplier(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["code"] == 2
+
+
+@given(
+    st.builds(
+        RecurrenceSpec,
+        coeff=st.integers(min_value=-7, max_value=7),
+        shift=st.integers(min_value=-4, max_value=4),
+        x0=st.integers(min_value=-4, max_value=4),
+        x1=st.integers(min_value=-4, max_value=4),
+        back=st.sampled_from([-1, 1]),
+    ),
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from(["csv", "json"]),
+)
+# -0 in Decimal arithmetic before the shift is added
+@example(RecurrenceSpec(-1, 0, 0, 0, back=-1), 4, "csv")
+@example(RecurrenceSpec(-2, 0, 0, 0, back=1), 4, "json")
+def test_seq_prints_the_str_of_each_int_term(spec, count, fmt):
+    kind = SequenceKind("pell", spec)
+    out, err = io.StringIO(), io.StringIO()
+    # the caller's decimal context, here one that rounds toward -inf at
+    # three digits, does not reach the recurrence
+    caller = decimal.Context(prec=3, rounding=decimal.ROUND_FLOOR)
+    with patch.dict(NAMED_KINDS, {"pell": kind}), decimal.localcontext(caller):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["seq", "pell", "--count", str(count), "--format", fmt])
+    terms = [str(t) for t in sequence(kind, count)]
+    text = json.dumps(terms) if fmt == "json" else "\n".join(terms)
+    assert (code, out.getvalue(), err.getvalue()) == (0, text + "\n", "")
+
+
+def _boundary_counts() -> dict[str, list[int]]:
+    """Per named kind, the counts either side of the default limit's
+    boundary, and either side of the first term with more digits than the
+    running process allows."""
+    limit = int_str_limit()
+    cases = {}
+    for name, kind in NAMED_KINDS.items():
+        counts = {11235, 11236} if name == "pell" else {5617, 5618}
+        if limit:
+            # Pell gains about 0.38 digits a term, the others 0.77
+            big = 10**limit
+            terms = sequence(kind, 3 * limit + 20)
+            first = next(i for i, t in enumerate(terms) if abs(t) >= big)
+            counts |= {first, first + 1}
+        cases[name] = sorted(counts)
+    return cases
+
+
+BOUNDARY_COUNTS = _boundary_counts()
+
+
+@cache
+def _str_int_lines_to_the_boundary(name: str) -> tuple[list[str], str | None]:
+    return str_int_lines(NAMED_KINDS[name], max(BOUNDARY_COUNTS[name]))
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [(name, count) for name, counts in BOUNDARY_COUNTS.items() for count in counts],
+    ids=lambda value: str(value),
+)
+def test_seq_at_the_int_to_str_limit(capsys, name, count):
+    lines, message = _str_int_lines_to_the_boundary(name)
+    code, out, err = run_cli(capsys, "seq", name, "--count", str(count))
+    if count <= len(lines):
+        assert (code, out, err) == (0, "\n".join(lines[:count]) + "\n", "")
+    else:
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {"code": 2, "message": message}}
+
+
+def _run_seq_with_digit_limit(digits: str, *argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": digits}
+    return subprocess.run(
+        [sys.executable, "-m", "balchain", "seq", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="the interpreter has no int-to-str limit")
+def test_seq_without_a_digit_limit_prints_every_term():
+    result = _run_seq_with_digit_limit("0", "balancing", "--count", "6000")
+    with int_str_digits(0):
+        expected = "\n".join(map(str, sequence(NAMED_KINDS["balancing"], 6000))) + "\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="the interpreter has no int-to-str limit")
+def test_seq_follows_the_process_digit_limit():
+    kind = NAMED_KINDS["balancing"]
+    first = next(i for i, t in enumerate(sequence(kind, 1000)) if abs(t) >= 10**640)
+    result = _run_seq_with_digit_limit("640", "balancing", "--count", str(first))
+    expected = "\n".join(map(str, sequence(kind, first))) + "\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+    result = _run_seq_with_digit_limit("640", "balancing", "--count", str(first + 1))
+    with int_str_digits(640):
+        _, message = str_int_lines(kind, first + 1)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert json.loads(result.stderr) == {"error": {"code": 2, "message": message}}
+
+
+def test_seq_leaves_the_digit_limit_and_the_decimal_context_alone(capsys):
+    def state():
+        c = decimal.getcontext()
+        return c, c.prec, c.rounding, c.Emin, c.Emax, c.capitals, c.clamp, dict(c.traps), dict(c.flags)
+
+    limit, before = int_str_limit(), state()
+    for count in ("5617", "20000"):
+        for fmt in ("csv", "json"):
+            run_cli(capsys, "seq", "lucas-balancing", "--count", count, "--format", fmt)
+            assert int_str_limit() == limit
+            assert state() == before
 
 
 def test_chain_csv(capsys):
@@ -349,6 +499,24 @@ MATRIX_FILE = "{matrix_file}"
             "--n cannot be combined with --matrix-file",
         ),
         (("seq", "pell", "--count", "3", "--a", "9"), "--a cannot be combined with pell"),
+        # a method flag the chosen --method does not use
+        (
+            ("solve", "balancing", "--n", "4", "--method", "exact", "--steps", "5", "--tol", "1", "--seed", "3"),
+            "--tol cannot be combined with --method exact",
+        ),
+        (
+            ("solve", "--matrix-file", MATRIX_FILE, "--method", "exact", "--steps", "2000"),
+            "--steps cannot be combined with --method exact",
+        ),
+        (
+            ("solve", "balancing", "--n", "4", "--method", "power", "--seed", "0"),
+            "--seed cannot be combined with --method power",
+        ),
+        (
+            ("solve", "balancing", "--n", "4", "--method", "simulate", "--max-iter", "9"),
+            "--max-iter cannot be combined with --method simulate",
+        ),
+        (("solve", "balancing", "--n", "4", "--start", "1"), "--start cannot be combined with --method exact"),
         # a flag the family's kind does not take
         (("chain", "balancing", "--n", "4", "--a", "3"), "balancing takes no multiplier a, got 3"),
         (

@@ -12,7 +12,7 @@ import io
 import json
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -55,7 +55,8 @@ def _cases() -> list[tuple[str, ...]]:
             )
         cases.append(("verify", kind, "--max-n", "9", *extra))
     for method in ("exact", "power", "simulate"):
-        cases.append(("solve", "--matrix-file", MATRIX_FILE, "--method", method, "--steps", "2000"))
+        steps = ("--steps", "2000") if method == "simulate" else ()
+        cases.append(("solve", "--matrix-file", MATRIX_FILE, "--method", method, *steps))
     cases += [
         ("verify", "--all", "--max-n", "12", "--format", "json"),
         ("verify", "--all", "--max-n", "6"),
@@ -76,13 +77,39 @@ def _cases() -> list[tuple[str, ...]]:
         ("solve", "truncated-infinite-q", "--n", "5", "--q", "-1/7"),
         ("verify", "balancing-q", "--n", "5", "--q", "1/0"),
     ]
+    # sequences up to the default int-to-str limit, and the first count past it
+    for kind in ("balancing", "lucas-balancing", "cobalancing", "lucas-cobalancing"):
+        for fmt in ("csv", "json"):
+            cases.append(("seq", kind, "--count", "5617", "--format", fmt))
+    cases += [
+        ("seq", "pell", "--count", "11235"),
+        ("seq", "balancing", "--count", "5618"),
+        ("seq", "balancing", "--count", "5619"),
+        ("seq", "lucas-cobalancing", "--count", "5618"),
+        ("seq", "pell", "--count", "11236"),
+    ]
     return cases
+
+
+@contextmanager
+def default_int_digits():
+    """The interpreter's default int-to-str limit, which the seq lines pin
+    (interpreters older than the limit, before 3.10.7, have none to set)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run(argv: tuple[str, ...], matrix_file: str) -> tuple[int, str]:
     argv = [matrix_file if a == MATRIX_FILE else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), default_int_digits():
         code = main(argv)
     digest = hashlib.sha256((out.getvalue() + "\0" + err.getvalue()).encode()).hexdigest()
     return code, digest
@@ -177,8 +204,8 @@ GOLDEN = {
     "solve balancing-like-q --n 6 --a 4 --q 1/5 --method power --format json": (0, '6e420fe24e476cf025a869caac851d78caf07cbe3dd5365f22f0ce17a5b8fa64'),
     "solve balancing-like-q --n 6 --a 4 --q 1/5 --method simulate --steps 2000 --format json": (0, 'a8efa2ede297a230a460e4f2d695f1f7417922f2454fda2f99f1a6c6deca849d'),
     "verify balancing-like-q --max-n 9 --a 4 --q 1/5": (0, '0158f5044d3491c47188485b3c792dd7be2f90e70b93ea552e0fc7b2ac702657'),
-    "solve --matrix-file {matrix_file} --method exact --steps 2000": (0, '77c215dcd55055cbf6034b32a4aad0415f6163212634a9baa0f592c3400815e1'),
-    "solve --matrix-file {matrix_file} --method power --steps 2000": (0, '5567b54e35cc85a908e11d1944a325fac6664a18d250050d18f1eb21d6aa6ffa'),
+    "solve --matrix-file {matrix_file} --method exact": (0, '77c215dcd55055cbf6034b32a4aad0415f6163212634a9baa0f592c3400815e1'),
+    "solve --matrix-file {matrix_file} --method power": (0, '5567b54e35cc85a908e11d1944a325fac6664a18d250050d18f1eb21d6aa6ffa'),
     "solve --matrix-file {matrix_file} --method simulate --steps 2000": (0, '906b0cbc171b55dba5e7515da2503a7e217ebb18461a6dd22ea9c1c4b3c5a172'),
     "verify --all --max-n 12 --format json": (0, 'e6bd2680677a652d0efb430098fa98227f167d2134e161603b67c904722cd40b'),
     "verify --all --max-n 6": (0, '80ce070df9230f27982e1b3652670533bc1aa220b748c4a416f8b0350b1c94a0'),
@@ -197,6 +224,19 @@ GOLDEN = {
     "chain balancing-like-q --n 5 --a 4 --q 1/3": (2, '285f5e7ee4587b5f7892b3ef8c7555d1a0c931a06b28ee41408945957011443b'),
     "solve truncated-infinite-q --n 5 --q -1/7": (2, 'f79989bc77d65fc691e5c8c152f9d7d748589c4d3166302bf371fbf29517c28e'),
     "verify balancing-q --n 5 --q 1/0": (2, '96bbe8424dbe5b6b459eb52ce5c7190f34258b328a82d5abeeeef5eca5769ff3'),
+    "seq balancing --count 5617 --format csv": (0, '7b45b249948d0a08bcf72ab232aeef4238c57d768853c7edd805ba39d2cefdb2'),
+    "seq balancing --count 5617 --format json": (0, 'e8ff217b0ffec46fd40bbd8e43399f93e654276faab264d47e58aef8eba6f828'),
+    "seq lucas-balancing --count 5617 --format csv": (0, '93bda1f6e91c61771c9f8ff7d2d235d53cf4c8c379a21879e893be0ad0a6c63b'),
+    "seq lucas-balancing --count 5617 --format json": (0, 'c2f7fec7182d07eb04631fa57884ac1645d80f74b3f607a1200b857d4113e14b'),
+    "seq cobalancing --count 5617 --format csv": (0, '80273028d80ab2558ba5219f9dc2c35051bb4b86902708f8986451cbe5c08b0c'),
+    "seq cobalancing --count 5617 --format json": (0, '9a596de19626539d50136cebcabbd8e94f0b4525a3ba0e094ad0e4768ab7e7b3'),
+    "seq lucas-cobalancing --count 5617 --format csv": (0, '6ea62a922b31713f90ec3e6bffc1f4c62cdb24cecf96502069b4fb52805493c3'),
+    "seq lucas-cobalancing --count 5617 --format json": (0, '40caceff639a9c061ca1d63fddb7fd6c1a8189f271a352e2b0dd5ba9dc8bdde5'),
+    "seq pell --count 11235": (0, 'aa4ee6005f9ef0890c9b4b49749887e6364a761aa135558d4ceca291e00fef87'),
+    "seq balancing --count 5618": (0, '8a4aea2b39836822063ebbf3ce7401b859d530ecd7606586f426dcf9d1018e0a'),
+    "seq balancing --count 5619": (2, '61b242bb2372a6e65644c77cd84b8f12affc7fe9bad6124cc0249126c2e07394'),
+    "seq lucas-cobalancing --count 5618": (2, '61b242bb2372a6e65644c77cd84b8f12affc7fe9bad6124cc0249126c2e07394'),
+    "seq pell --count 11236": (2, '61b242bb2372a6e65644c77cd84b8f12affc7fe9bad6124cc0249126c2e07394'),
 }
 
 

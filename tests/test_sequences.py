@@ -11,6 +11,7 @@ from balchain.sequences import (
     PELL,
     RecurrenceSpec,
     SequenceKind,
+    _decimal_terms,
     balancing_like,
     balancing_matrix_power,
     check_pell_links,
@@ -131,6 +132,8 @@ def test_negative_index_rejected():
         term(BALANCING, -1)
     with pytest.raises(ValueError):
         sequence(BALANCING, -1)
+    with pytest.raises(ValueError):
+        _decimal_terms(BALANCING, -1)
 
 
 def test_named_kind_registry():
