@@ -5,134 +5,19 @@ with exact fraction entries, computes stationary distributions by three
 independent methods, and machine-checks every closed form and limit claim.
 """
 
-from .chains import (
-    ChainFamily,
-    ParameterError,
-    StochasticMatrix,
-    ValidationReport,
-    balancing_chain,
-    balancing_chain_q,
-    balancing_like_chain,
-    balancing_like_chain_q,
-    build,
-    family,
-    lucas_chain,
-    lucas_chain_q,
-    lucas_cobalancing_chain,
-    matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
-    pell_ratio_chain,
-    truncated_infinite_chain,
-    truncated_infinite_chain_q,
-    validate,
-)
-from .quadratic import (
-    BETA,
-    ONE,
-    QuadInt,
-    beta_power_identity,
-    infinite_steady_state,
-    silver_ratio_gap,
-)
-from .sequences import (
-    BALANCING,
-    COBALANCING,
-    LUCAS_BALANCING,
-    LUCAS_COBALANCING,
-    PELL,
-    RecurrenceSpec,
-    SequenceKind,
-    balancing_like,
-    balancing_matrix_power,
-    check_pell_links,
-    check_sum_identity,
-    integer_sqrt,
-    is_balancing,
-    is_cobalancing,
-    sequence,
-    term,
-)
-from .steady import (
-    ConvergenceError,
-    SimulationResult,
-    SolverError,
-    n_step,
-    power_iteration,
-    simulate,
-    solve_exact,
-)
-from .verify import (
-    QInvarianceReport,
-    VerificationReport,
-    closed_form,
-    infinite_recursion_identity,
-    q_invariance,
-    truncation_convergence,
-    truncation_gap_bound,
-    unnormalized_recursion_check,
-    verify_family,
-)
+from . import chains, quadratic, sequences, steady, verify
+from .chains import *
+from .quadratic import *
+from .sequences import *
+from .steady import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BALANCING",
-    "BETA",
-    "COBALANCING",
-    "ChainFamily",
-    "ConvergenceError",
-    "LUCAS_BALANCING",
-    "LUCAS_COBALANCING",
-    "ONE",
-    "PELL",
-    "ParameterError",
-    "QInvarianceReport",
-    "QuadInt",
-    "RecurrenceSpec",
-    "SequenceKind",
-    "SimulationResult",
-    "SolverError",
-    "StochasticMatrix",
-    "ValidationReport",
-    "VerificationReport",
-    "balancing_chain",
-    "balancing_chain_q",
-    "balancing_like",
-    "balancing_like_chain",
-    "balancing_like_chain_q",
-    "balancing_matrix_power",
-    "beta_power_identity",
-    "build",
-    "check_pell_links",
-    "check_sum_identity",
-    "closed_form",
-    "family",
-    "infinite_recursion_identity",
-    "infinite_steady_state",
-    "integer_sqrt",
-    "is_balancing",
-    "is_cobalancing",
-    "lucas_chain",
-    "lucas_chain_q",
-    "lucas_cobalancing_chain",
-    "matrix_from_json",
-    "matrix_to_csv",
-    "matrix_to_json",
-    "n_step",
-    "pell_ratio_chain",
-    "power_iteration",
-    "q_invariance",
-    "sequence",
-    "silver_ratio_gap",
-    "simulate",
-    "solve_exact",
-    "term",
-    "truncated_infinite_chain",
-    "truncated_infinite_chain_q",
-    "truncation_convergence",
-    "truncation_gap_bound",
-    "unnormalized_recursion_check",
-    "validate",
-    "verify_family",
-]
+__all__ = (
+    chains.__all__
+    + quadratic.__all__
+    + sequences.__all__
+    + steady.__all__
+    + verify.__all__
+)

@@ -10,7 +10,8 @@ unless the kind takes one), a step probability ``q`` and a boundary that
 rewrites the last rows; a q-free kind is its q-family at ``q = 1/a``.
 Everything else the package knows about a kind (size minimum, parameters,
 closed form, note) is its row of ``KINDS``, so adding a family means adding
-one registry row.
+one registry row.  ``ChainFamily`` is the one constructor: it checks every
+instance against its row.
 
 A matrix keeps the nonzero cells of each row in column order, so walking
 it is O(nnz) whether it was built from a family or read from dense rows.
@@ -30,7 +31,6 @@ __all__ = [
     "KINDS",
     "StochasticMatrix",
     "ValidationReport",
-    "family",
     "balancing_chain",
     "balancing_chain_q",
     "pell_ratio_chain",
@@ -62,8 +62,7 @@ class ChainFamily:
     Construction checks the instance against its ``KINDS`` row, so every
     family that reaches ``build`` is valid: an unknown kind, an n below the
     minimum, a missing or out-of-range a or q, and an a or q the kind does
-    not take all raise ParameterError.  ``family()`` drops a and q when
-    the kind does not take them; construct through it to get that.
+    not take all raise ParameterError.
     """
 
     kind: str
@@ -197,59 +196,44 @@ KINDS = {
 }
 
 
-def family(
-    kind: str, n: int, a: int | None = None, q: Fraction | None = None
-) -> ChainFamily:
-    """A validated instance of a registered kind.
-
-    ``a`` and ``q`` are dropped when the kind does not take them and
-    required when it does; n, a and q are checked in that order.
-    """
-    spec = KINDS.get(kind)
-    if spec is not None:
-        a = a if spec.takes_a else None
-        q = q if spec.takes_q else None
-    return ChainFamily(kind, n, a, q)
-
-
 def balancing_chain(n: int) -> ChainFamily:
-    return family("balancing", n)
+    return ChainFamily("balancing", n)
 
 
 def balancing_chain_q(n: int, q: Fraction) -> ChainFamily:
-    return family("balancing-q", n, q=q)
+    return ChainFamily("balancing-q", n, q=q)
 
 
 def pell_ratio_chain(n: int) -> ChainFamily:
-    return family("pell-ratio", n)
+    return ChainFamily("pell-ratio", n)
 
 
 def lucas_chain(n: int) -> ChainFamily:
-    return family("lucas", n)
+    return ChainFamily("lucas", n)
 
 
 def lucas_chain_q(n: int, q: Fraction) -> ChainFamily:
-    return family("lucas-q", n, q=q)
+    return ChainFamily("lucas-q", n, q=q)
 
 
 def lucas_cobalancing_chain(n: int) -> ChainFamily:
-    return family("lucas-cobalancing", n)
+    return ChainFamily("lucas-cobalancing", n)
 
 
 def truncated_infinite_chain(n: int) -> ChainFamily:
-    return family("truncated-infinite", n)
+    return ChainFamily("truncated-infinite", n)
 
 
 def truncated_infinite_chain_q(n: int, q: Fraction) -> ChainFamily:
-    return family("truncated-infinite-q", n, q=q)
+    return ChainFamily("truncated-infinite-q", n, q=q)
 
 
 def balancing_like_chain(n: int, a: int) -> ChainFamily:
-    return family("balancing-like", n, a)
+    return ChainFamily("balancing-like", n, a)
 
 
 def balancing_like_chain_q(n: int, a: int, q: Fraction) -> ChainFamily:
-    return family("balancing-like-q", n, a, q)
+    return ChainFamily("balancing-like-q", n, a, q)
 
 
 def _nonzero(cells) -> dict[int, Fraction]:

@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import (
-    KINDS,
-    ChainFamily,
-    ParameterError,
-    build,
-    family,
-    truncated_infinite_chain,
-)
+from .chains import KINDS, ChainFamily, ParameterError, build, truncated_infinite_chain
 from .quadratic import (
     BETA,
     ONE,
@@ -89,9 +82,7 @@ def closed_form(family: ChainFamily) -> list[Fraction]:
     and 3 and -1 make it the Lucas-balancing C(k-1) and Lucas-cobalancing
     c(k-1) numbers.
     """
-    spec = KINDS.get(family.kind)
-    if spec is None:
-        raise ParameterError(f"no closed form for family {family.kind!r}")
+    spec = KINDS[family.kind]
     weights = SequenceKind(spec.name, RecurrenceSpec(family.coeff, 0, spec.x0, 1))
     return _normalized_suffix(sequence(weights, family.n + 1)[1:])
 
@@ -119,15 +110,14 @@ def q_invariance(
 ) -> QInvarianceReport:
     """Check the stationary vector is the same fraction vector for every q.
 
-    ``kind`` is a q-free kind whose q-family is registered as ``kind + "-q"``.
+    ``kind`` is a q-free kind whose q-family is registered as ``kind + "-q"``;
+    ``a`` is given exactly when the kind takes it.
     """
     q_kind = kind + "-q"
     if kind not in KINDS or q_kind not in KINDS:
         raise ParameterError(f"no q-parameterized variant for {kind!r}")
-    if KINDS[kind].takes_a and a is None:
-        raise ParameterError(f"{kind} q-invariance needs the multiplier a")
-    base_vector = solve_exact(build(family(kind, base_n, a)))
-    vectors = [solve_exact(build(family(q_kind, base_n, a, q))) for q in q_values]
+    base_vector = solve_exact(build(ChainFamily(kind, base_n, a)))
+    vectors = [solve_exact(build(ChainFamily(q_kind, base_n, a, q))) for q in q_values]
     identical = all(v == vectors[0] for v in vectors)
     return QInvarianceReport(
         kind=kind,
@@ -140,9 +130,22 @@ def q_invariance(
     )
 
 
-def truncation_gap_bound(n: int, window: int = 8, digits: int = 50) -> Fraction:
-    """Certified bound on the largest gap over the first min(n, window)
-    entries of the size-n chain's stationary vector and of the limit.
+# the truncated chains are compared with the infinite-state limit on this
+# many leading entries at most
+_HEAD = 8
+
+
+def _head_bounds(n: int, digits: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The size-n truncated chain's stationary vector, and certified bounds
+    on the gaps between its first min(n, _HEAD) entries and the limit's."""
+    solved = solve_exact(build(truncated_infinite_chain(n)))
+    limit = infinite_steady_state(min(n, _HEAD))
+    return solved, [gap_bound(p, x, digits) for p, x in zip(solved, limit)]
+
+
+def truncation_gap_bound(n: int, digits: int = 50) -> Fraction:
+    """Certified bound on the largest gap over the first min(n, 8) entries
+    of the size-n chain's stationary vector and of the limit.
 
     Each exact probability is compared with BETA**i - BETA**(i+1) enclosed
     at ``digits`` decimal digits.  Later entries are not compared, though
@@ -150,23 +153,15 @@ def truncation_gap_bound(n: int, window: int = 8, digits: int = 50) -> Fraction:
     and once the head gaps fall below the enclosure's width (near n = 40 at
     50 digits) the bound is that width.
     """
-    if n < 3:
-        raise ValueError(f"size must be >= 3, got {n}")
-    solved = solve_exact(build(truncated_infinite_chain(n)))
-    exact_limit = infinite_steady_state(min(n, window))
-    return max(
-        gap_bound(solved[i], exact_limit[i], digits) for i in range(len(exact_limit))
-    )
+    return max(_head_bounds(n, digits)[1])
 
 
-def truncation_convergence(
-    sizes: list[int], window: int = 8, digits: int = 50
-) -> list[tuple[int, float]]:
-    """(n, truncation_gap_bound(n, window, digits)) rounded up to a float,
-    for each requested size: a bound over the first min(n, window) entries."""
+def truncation_convergence(sizes: list[int], digits: int = 50) -> list[tuple[int, float]]:
+    """(n, truncation_gap_bound(n, digits)) rounded up to a float, for each
+    requested size: a bound over the first min(n, 8) entries."""
     if not sizes:
         raise ValueError("need at least one size")
-    return [(n, float_upper(truncation_gap_bound(n, window, digits))) for n in sizes]
+    return [(n, float_upper(truncation_gap_bound(n, digits))) for n in sizes]
 
 
 def infinite_recursion_identity(i: int) -> bool:
@@ -187,12 +182,10 @@ def unnormalized_recursion_check(n: int, count: int, digits: int = 50) -> bool:
     truncated solution is bounded by its per-entry distance to the limit;
     the comparison uses those certified bounds, nothing looser.
     """
-    window = min(n, 8)
-    if not 1 <= count <= window - 1:
-        raise ValueError(f"count must be in 1..{window - 1}, got {count}")
-    solved = solve_exact(build(truncated_infinite_chain(n)))
-    exact_limit = infinite_steady_state(window)
-    bounds = [gap_bound(solved[i], exact_limit[i], digits) for i in range(window)]
+    head = min(n, _HEAD)
+    if not 1 <= count <= head - 1:
+        raise ValueError(f"count must be in 1..{head - 1}, got {count}")
+    solved, bounds = _head_bounds(n, digits)
     b = sequence(BALANCING, count + 2)
     for i in range(1, count + 1):
         coefficient = b[i + 1] - b[i]

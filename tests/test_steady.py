@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from balchain import steady
 from balchain.chains import (
     KINDS,
+    ChainFamily,
     StochasticMatrix,
     balancing_chain,
     balancing_chain_q,
     balancing_like_chain,
     build,
-    family,
     lucas_chain,
     lucas_chain_q,
     lucas_cobalancing_chain,
@@ -231,7 +231,9 @@ def test_n_step_equals_repeated_products(m, k):
 @pytest.mark.parametrize("kind", KINDS)
 def test_n_step_64_of_every_kind_equals_repeated_products(kind):
     spec = KINDS[kind]
-    m = build(family(kind, 12, a=4 if spec.takes_a else None, q=R(1, 7)))
+    a = 4 if spec.takes_a else None
+    q = R(1, 7) if spec.takes_q else None
+    m = build(ChainFamily(kind, 12, a, q))
     assert n_step(m, 64).rows() == naive_power(m, 64)
 
 
@@ -359,7 +361,7 @@ def sweep_cases():
 @pytest.mark.parametrize("kind, a, q", sweep_cases())
 def test_band_route_equals_elimination_on_every_family(kind, a, q):
     for n in range(KINDS[kind].min_n, 61):
-        m = build(family(kind, n, a, q))
+        m = build(ChainFamily(kind, n, a, q))
         assert solve_exact(m) == _solve_gauss(m), f"{kind} n={n}"
 
 
@@ -376,7 +378,7 @@ def assert_exactly_stationary(m, pi):
 @pytest.mark.parametrize("n", [150, 400])
 @pytest.mark.parametrize("kind, a, q", sweep_cases())
 def test_large_band_solves_are_exactly_stationary(kind, a, q, n):
-    m = build(family(kind, n, a, q))
+    m = build(ChainFamily(kind, n, a, q))
     assert_exactly_stationary(m, solve_exact(m))
 
 

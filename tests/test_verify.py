@@ -137,6 +137,8 @@ def test_q_invariance_rejects_bad_parameters():
         q_invariance(8, [R(1, 5)], "balancing")  # q > 1/6
     with pytest.raises(ParameterError):
         q_invariance(8, [R(1, 10)], "balancing-like")  # missing a
+    with pytest.raises(ParameterError, match="balancing takes no multiplier a, got 4"):
+        q_invariance(8, [R(1, 7)], "balancing", a=4)  # a the kind does not take
     with pytest.raises(ParameterError):
         q_invariance(8, [R(1, 10)], "pell-ratio")  # no q-variant
 
@@ -152,7 +154,7 @@ def test_truncation_gap_shrinks_geometrically():
 def test_truncation_gap_examples():
     assert truncation_gap_bound(10) < R(1, 10**7)
     assert truncation_gap_bound(20) < R(1, 10**14)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="truncated-infinite needs n >= 3, got 2"):
         truncation_gap_bound(2)
     with pytest.raises(ValueError):
         truncation_convergence([])
