@@ -55,6 +55,10 @@ class ParameterError(ValueError):
     """A family parameter is outside its documented bounds."""
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ChainFamily:
     """A named matrix family instance: kind, size, and optional a / q.
@@ -62,7 +66,8 @@ class ChainFamily:
     Construction checks the instance against its ``KINDS`` row, so every
     family that reaches ``build`` is valid: an unknown kind, an n below the
     minimum, a missing or out-of-range a or q, and an a or q the kind does
-    not take all raise ParameterError.
+    not take all raise ParameterError.  So do an n or a that is not an int
+    (bool included) and a float q, which is a binary approximation.
     """
 
     kind: str
@@ -75,6 +80,8 @@ class ChainFamily:
         spec = KINDS.get(kind)
         if spec is None:
             raise ParameterError(f"unknown chain family {kind!r}")
+        if not _is_int(self.n):
+            raise ParameterError(f"{kind} needs an integer n, got {self.n!r}")
         if self.n < spec.min_n:
             raise ParameterError(f"{kind} needs n >= {spec.min_n}, got {self.n}")
         if not spec.takes_a:
@@ -82,6 +89,8 @@ class ChainFamily:
                 raise ParameterError(f"{kind} takes no multiplier a, got {a}")
         elif a is None:
             raise ParameterError(f"{kind} needs the multiplier a")
+        elif not _is_int(a):
+            raise ParameterError(f"{kind} needs an integer a, got {a!r}")
         elif a < 2:
             raise ParameterError(f"{kind} needs a >= 2, got {a}")
         if not spec.takes_q:
@@ -89,6 +98,10 @@ class ChainFamily:
                 raise ParameterError(f"{kind} takes no step probability q, got {q}")
         elif q is None:
             raise ParameterError(f"{kind} needs the step probability q")
+        elif isinstance(q, float):
+            raise ParameterError(
+                f"{kind} needs an exact q, got the float {q!r}; pass a Fraction"
+            )
         else:
             q = Fraction(q)
             if not 0 < q <= Fraction(1, self.coeff):

@@ -116,6 +116,8 @@ def q_invariance(
     q_kind = kind + "-q"
     if kind not in KINDS or q_kind not in KINDS:
         raise ParameterError(f"no q-parameterized variant for {kind!r}")
+    if not q_values:
+        raise ParameterError("q_invariance needs at least one q")
     base_vector = solve_exact(build(ChainFamily(kind, base_n, a)))
     vectors = [solve_exact(build(ChainFamily(q_kind, base_n, a, q))) for q in q_values]
     identical = all(v == vectors[0] for v in vectors)

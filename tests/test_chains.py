@@ -24,6 +24,7 @@ from balchain.chains import (
     truncated_infinite_chain_q,
     validate,
 )
+from balchain.cli import _make_family, main
 
 R = Fraction
 
@@ -235,6 +236,33 @@ def test_registry_drives_the_constructor():
 def test_direct_chain_family_gets_the_constructor_checks(kind, n, a, q):
     with pytest.raises(ParameterError, match=rf"^{re.escape(kind)} needs "):
         ChainFamily(kind, n, a, q)
+
+
+@pytest.mark.parametrize(
+    "kind,n,a,q,message",
+    [
+        ("balancing", 5.0, None, None, "balancing needs an integer n, got 5.0"),
+        ("balancing", True, None, None, "balancing needs an integer n, got True"),
+        ("balancing-like", 5, 4.5, None, "balancing-like needs an integer a, got 4.5"),
+        ("balancing-like-q", 5, True, R(1, 7), "balancing-like-q needs an integer a, got True"),
+        ("balancing-q", 5, None, 0.1, "balancing-q needs an exact q, got the float 0.1"),
+        ("lucas-q", 5, None, 0.125, "lucas-q needs an exact q, got the float 0.125"),
+    ],
+)
+def test_chain_family_rejects_inexact_parameters(kind, n, a, q, message):
+    # before, a float n or a failed in build with a TypeError and a float q
+    # kept its binary approximation
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        ChainFamily(kind, n, a, q)
+
+
+def test_chain_family_takes_exact_q(capsys):
+    assert ChainFamily("balancing-q", 5, q=R(1, 8)).q == R(1, 8)
+    assert ChainFamily("balancing-q", 5, q="1/8").q == R(1, 8)
+    # the CLI parses --q into a Fraction
+    assert _make_family("balancing-q", 5, None, "1/8") == ChainFamily("balancing-q", 5, q=R(1, 8))
+    assert main(["solve", "balancing-q", "--n", "5", "--q", "1/8"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_direct_chain_family_rejects_parameters_its_kind_does_not_take():

@@ -149,6 +149,123 @@ def test_power_iteration_parameter_checks():
         power_iteration(m, max_iter=0)
 
 
+def test_power_iteration_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="matrix has no states"):
+        power_iteration(StochasticMatrix.from_rows([]))
+
+
+def reference_power_iteration(m, tol=1e-12, max_iter=10**6):
+    """The plain loop power_iteration ran on every iteration before it
+    compiled its step; kept here as the oracle."""
+    n = m.n
+    rows = [[(j, float(x)) for j, x in m.nonzeros(i)] for i in range(n)]
+    v = [1.0 / n] * n
+    for iteration in range(1, max_iter + 1):
+        w = [0.0] * n
+        for i, weight in enumerate(v):
+            if weight:
+                for j, p in rows[i]:
+                    w[j] += weight * p
+        delta = sum(abs(w[j] - v[j]) for j in range(n))
+        v = w
+        if delta < tol:
+            return v, iteration
+    raise ConvergenceError("no convergence", v, max_iter)
+
+
+def power_outcome(solver, m, **kwargs):
+    """(converged, vector as float.hex, iterations): hex tells -0.0 from
+    0.0, so equal outcomes are equal bit for bit."""
+    try:
+        vector, iterations = solver(m, **kwargs)
+        converged = True
+    except ConvergenceError as exc:
+        vector, iterations, converged = exc.vector, exc.iterations, False
+    return converged, [x.hex() for x in vector], iterations
+
+
+def assert_same_as_loop(m, monkeypatch, **kwargs):
+    """power_iteration equals the oracle bit for bit; returns whether it
+    compiled its step."""
+    compiled = []
+    compile_step = steady._compile_step
+    monkeypatch.setattr(
+        steady, "_compile_step", lambda rows: compiled.append(rows) or compile_step(rows)
+    )
+    outcome = power_outcome(power_iteration, m, **kwargs)
+    assert outcome == power_outcome(reference_power_iteration, m, **kwargs)
+    assert len(compiled) == (outcome[2] > steady._COMPILE_AFTER)
+    return bool(compiled)
+
+
+def every_kind_at_every_q():
+    """All ten kinds at n = 3, 12, 50; q-kinds at q = 1/coeff, 1/100, 1/1000."""
+    for kind, spec in KINDS.items():
+        a = 5 if spec.takes_a else None
+        for n in (3, 12, 50):
+            if n < spec.min_n:
+                continue
+            for q in (R(1, a or 6), R(1, 100), R(1, 1000)) if spec.takes_q else (None,):
+                yield ChainFamily(kind, n, a, q)
+
+
+def test_compiled_step_matches_the_loop_on_every_kind(monkeypatch):
+    compiled = [
+        assert_same_as_loop(build(family), monkeypatch) for family in every_kind_at_every_q()
+    ]
+    # fast chains stay on the loop, slow-mixing ones switch
+    assert any(compiled) and not all(compiled)
+
+
+def lazy_rows(rows, eps):
+    """(1 - eps)*I + eps*P: the same stationary vector, slower mixing."""
+    return [
+        [(1 - eps) * (i == j) + eps * x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # every cell nonzero, so off the band
+        lazy_rows([[R(1 + i + j, 10 + 4 * i) for j in range(4)] for i in range(4)], R(1, 200)),
+        # state 2 is never entered: its weight is 0.0 after one step and
+        # its column is empty
+        [[R(999, 1000), R(1, 1000), R(0)], [R(1, 500), R(498, 500), R(0)], [R(1, 2), R(1, 2), R(0)]],
+        # not stochastic: state 2 is never entered, so from step 2 on its
+        # negative cell adds -0.0, the only term of column 3
+        [
+            [R(999, 1000), R(1, 1000), R(0), R(0)],
+            [R(1, 500), R(498, 500), R(0), R(0)],
+            [R(1, 2), R(3, 4), R(0), R(-1, 4)],
+            [R(0), R(1), R(0), R(0)],
+        ],
+    ],
+    ids=["full", "zero-weight", "negative"],
+)
+def test_compiled_step_matches_the_loop_off_the_band(monkeypatch, rows):
+    m = StochasticMatrix.from_rows(rows)
+    assert assert_same_as_loop(m, monkeypatch, max_iter=steady._COMPILE_AFTER + 500)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+def test_convergence_error_vector_around_the_switch(monkeypatch, offset):
+    m = build(balancing_chain_q(12, R(1, 1000)))
+    max_iter = steady._COMPILE_AFTER + offset
+    converged, vector, iterations = power_outcome(power_iteration, m, max_iter=max_iter)
+    assert not converged and iterations == max_iter
+    assert_same_as_loop(m, monkeypatch, max_iter=max_iter)
+
+
+def test_compiled_step_chunks_a_long_column(monkeypatch):
+    # column 0 of this chain has 3000 nonzeros; as one expression it would
+    # overflow the compiler's recursion limit
+    m = build(balancing_chain_q(3000, R(1, 1000)))
+    assert len([i for i in range(m.n) if m.entry(i, 0)]) == 3000
+    assert assert_same_as_loop(m, monkeypatch, max_iter=steady._COMPILE_AFTER + 3)
+
+
 def test_n_step_one_is_the_matrix_itself():
     m = build(balancing_chain(4))
     assert n_step(m, 1) == m

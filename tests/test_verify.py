@@ -143,6 +143,12 @@ def test_q_invariance_rejects_bad_parameters():
         q_invariance(8, [R(1, 10)], "pell-ratio")  # no q-variant
 
 
+def test_q_invariance_rejects_an_empty_q_list_before_solving(monkeypatch):
+    monkeypatch.setattr(verify, "solve_exact", lambda m: pytest.fail("solved"))
+    with pytest.raises(ParameterError, match="q_invariance needs at least one q"):
+        q_invariance(8, [], "balancing")
+
+
 def test_truncation_gap_shrinks_geometrically():
     table = truncation_convergence(list(range(5, 16)))
     gaps = [gap for _, gap in table]
