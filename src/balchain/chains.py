@@ -13,8 +13,9 @@ closed form, note) is its row of ``KINDS``, so adding a family means adding
 one registry row.  ``ChainFamily`` is the one constructor: it checks every
 instance against its row.
 
-A matrix keeps the nonzero cells of each row in column order, so walking
-it is O(nnz) whether it was built from a family or read from dense rows.
+A matrix is one denominator plus int numerators of each row's nonzero
+cells, made canonical by one normaliser; the solvers read those ints, and
+walking a matrix is O(nnz).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "ParameterError",
@@ -249,19 +250,11 @@ def balancing_like_chain_q(n: int, a: int, q: Fraction) -> ChainFamily:
     return ChainFamily("balancing-like-q", n, a, q)
 
 
-def _nonzero(cells) -> dict[int, Fraction]:
-    out = {}
-    for j, x in cells:
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        if x:
-            out[j] = x
-    return out
-
-
 class StochasticMatrix:
-    """Square matrix of exact fractions, kept as the nonzero cells of each
-    row in column order."""
+    """Square matrix of exact fractions, kept fraction-free: a denominator
+    ``den``, the lcm of the reduced cells' denominators, and ``numerators``,
+    each row's nonzero cells as ``{j: int}`` in column order.  ``entry``,
+    ``row``, ``rows`` and ``nonzeros`` return reduced Fractions."""
 
     def __init__(self) -> None:
         raise TypeError("use StochasticMatrix.from_rows or from_cells")
@@ -274,7 +267,7 @@ class StochasticMatrix:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        return cls._new(n, [enumerate(row) for row in rows], label)
+        return cls._exact(n, [enumerate(row) for row in rows], label)
 
     @classmethod
     def from_cells(
@@ -286,25 +279,46 @@ class StochasticMatrix:
             if not (0 <= i < n and 0 <= j < n):
                 raise IndexError(f"cell ({i}, {j}) outside {n}x{n} matrix")
             rows[i].append((j, x))
-        return cls._new(n, [sorted(row) for row in rows], label)
+        return cls._exact(n, [sorted(row) for row in rows], label)
 
     @classmethod
-    def _new(cls, n: int, rows: list, label: str) -> "StochasticMatrix":
-        """Store rows of ``(j, value)`` pairs in column order, zeros left out."""
+    def _exact(cls, n: int, rows: list, label: str) -> "StochasticMatrix":
+        """Rows of ``(j, exact number)`` pairs, put over the lcm of their
+        denominators."""
+        rows = [
+            [(j, x if type(x) is Fraction else Fraction(x)) for j, x in row if x] for row in rows
+        ]
+        den = lcm(*{x.denominator for row in rows for _, x in row})
+        ints = [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in rows]
+        return cls._new(n, den, ints, label)
+
+    @classmethod
+    def _new(cls, n: int, den: int, rows: list, label: str) -> "StochasticMatrix":
+        """The normaliser behind every matrix, for rows of ``(j, int)``
+        pairs over ``den`` in column order: zeros are dropped, and ``den``
+        and the numerators are divided by their gcd, which makes ``den``
+        the lcm of the reduced cells' denominators."""
+        if n < 1:
+            raise ValueError("matrix has no states")
+        g = den
+        for row in rows:  # most matrices reach 1 within a row or two
+            g = gcd(g, *(v for _, v in row))
+            if g == 1:
+                break
         self = object.__new__(cls)
-        self.n = n
-        self.label = label
-        self._rows = tuple(_nonzero(row) for row in rows)
+        self.n, self.label, self.den = n, label, den // g
+        self.numerators = tuple({j: v // g for j, v in row if v} for row in rows)
         return self
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) outside {self.n}x{self.n} matrix")
-        return self._rows[i].get(j, _ZERO)
+        v = self.numerators[i].get(j)
+        return Fraction(v, self.den) if v else _ZERO
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         row = [_ZERO] * self.n
-        for j, x in self._rows[i].items():
+        for j, x in self.nonzeros(i):
             row[j] = x
         return tuple(row)
 
@@ -313,34 +327,15 @@ class StochasticMatrix:
 
     def nonzeros(self, i: int) -> list[tuple[int, Fraction]]:
         """The nonzero cells ``(j, value)`` of row ``i``, in column order."""
-        return list(self._rows[i].items())
-
-    def band(self) -> tuple[tuple[Fraction, ...], ...] | None:
-        """``(col0, sub, diag, sup)`` if every nonzero off column 0 lies on
-        the sub-, main or superdiagonal, else None.
-
-        Column 0 takes its cells first, so ``diag[0]``, ``sub[1]`` and
-        ``sup[n-1]`` are always zero.
-        """
-        arrays = [[_ZERO] * self.n for _ in range(4)]
-        for i, cells in enumerate(self._rows):
-            for j, x in cells.items():
-                if j == 0:
-                    slot = 0
-                elif abs(j - i) <= 1:
-                    slot = j - i + 2
-                else:
-                    return None
-                arrays[slot][i] = x
-        return tuple(tuple(a) for a in arrays)
+        return [(j, Fraction(v, self.den)) for j, v in self.numerators[i].items()]
 
     def nonzero_count(self) -> int:
-        return sum(len(cells) for cells in self._rows)
+        return sum(len(cells) for cells in self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StochasticMatrix):
             return NotImplemented
-        return self.n == other.n and self._rows == other._rows
+        return (self.n, self.den, self.numerators) == (other.n, other.den, other.numerators)
 
     __hash__ = None
 
@@ -349,46 +344,53 @@ class StochasticMatrix:
         return f"<StochasticMatrix {name} {self.n}x{self.n} nnz={self.nonzero_count()}>"
 
 
-def _cells(n: int, a: int, q: Fraction, boundary: str) -> dict[tuple[int, int], Fraction]:
-    """Cells of the size-n chain with multiplier a and step q.
+def _cells(n: int, a: int, q: int, one: int, boundary: str) -> list[dict[int, int]]:
+    """Rows of ``{j: cell}``, in column order, of the size-n chain with
+    multiplier a and step q, in multiples of the unit ``one``.
 
     State 0 moves up with probability q and otherwise stays.  Every other
     state steps down and up with probability q each, stays with 1 - a*q
     and collapses to state 0 with the remaining (a - 2)*q; state 1's step
     down is one more collapse.  The last state has no step up, and the
     boundary says where that q goes.  At q = 1/a the stay cells are 0.
+    ``build`` passes ints with q a multiple of 7, so 3q/7 is whole.
     """
-    collapse, stay = (a - 2) * q, 1 - a * q
-    cells = {(0, 0): 1 - q, (0, 1): q}
+    collapse, stay = (a - 2) * q, one - a * q
+    rows = [{0: one - q, 1: q}] + [{} for _ in range(1, n)]
     for i in range(1, n):
-        cells[i, 0] = collapse
-        cells[i, i - 1] = q
-        cells[i, i] = stay
+        rows[i][0] = collapse
+        rows[i][i - 1] = q
+        rows[i][i] = stay
         if i + 1 < n:
-            cells[i, i + 1] = q
-    cells[1, 0] = collapse + q
-    last = n - 1
+            rows[i][i + 1] = q
+    rows[1][0] = collapse + q
+    last = rows[n - 1]
     if boundary == "edge":  # to state 0
-        cells[last, 0] += q
+        last[0] += q
     elif boundary == "reflect":  # it stays
-        cells[last, last] += q
+        last[n - 1] += q
     else:  # it stays, and so does 2q of the collapse (a = 6)
         if boundary == "lucas-cobalancing":
             # the step up into the last state shrinks to 3q/7
-            cells[last - 1, last] = 3 * q / 7
-            cells[last - 1, 0] += 4 * q / 7
-        cells[last, 0] = 2 * q
-        cells[last, last] = 1 - 3 * q
-    return cells
+            rows[n - 2][n - 1] = 3 * q // 7
+            rows[n - 2][0] += 4 * q // 7
+        last[0] = 2 * q
+        last[n - 1] = one - 3 * q
+    return rows
 
 
 def build(family: ChainFamily) -> StochasticMatrix:
-    """Materialize a family instance as a StochasticMatrix."""
+    """Materialize a family instance as a StochasticMatrix.
+
+    The cells are int numerators over 7 times q's denominator, which the
+    normaliser reduces to the matrix's ``den``.
+    """
     spec = KINDS[family.kind]
     coeff = family.coeff
     q = family.q if spec.takes_q else Fraction(1, coeff)
-    cells = _cells(family.n, coeff, q, spec.boundary)
-    return StochasticMatrix.from_cells(family.n, cells, label=family.label)
+    den = 7 * q.denominator
+    rows = _cells(family.n, coeff, 7 * q.numerator, den, spec.boundary)
+    return StochasticMatrix._new(family.n, den, [row.items() for row in rows], family.label)
 
 
 @dataclass
@@ -420,26 +422,26 @@ class ValidationReport:
 def validate(m: StochasticMatrix) -> ValidationReport:
     """Check nonnegativity, exact row sums, irreducibility, aperiodicity.
 
-    Walks only the nonzero cells of each row, so it is O(nnz).
+    Walks only the nonzero cells of each row, so it is O(nnz); a row sums
+    to 1 when its int numerators sum to ``den``.
     """
     n = m.n
     negative: list[tuple[int, int]] = []
     bad_sums: list[tuple[int, Fraction]] = []
     adjacency: list[list[int]] = []
     reverse: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
+    for i, cells in enumerate(m.numerators):
         targets = []
-        total = Fraction(0)
-        for j, value in m.nonzeros(i):
-            total += value
-            if value < 0:
+        for j, v in cells.items():
+            if v < 0:
                 negative.append((i, j))
             else:
                 targets.append(j)
                 reverse[j].append(i)
         adjacency.append(targets)
-        if total != 1:
-            bad_sums.append((i, total))
+        total = sum(cells.values())
+        if total != m.den:
+            bad_sums.append((i, Fraction(total, m.den)))
 
     def reach(adj: list[list[int]]) -> tuple[set[int], dict[int, int]]:
         seen = {0: 0}

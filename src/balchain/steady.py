@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import lcm
+from math import inf
 from operator import mul
 
-from .chains import StochasticMatrix
+from .chains import StochasticMatrix, _is_int
 
 __all__ = [
     "SolverError",
@@ -76,43 +76,40 @@ def solve_exact(m: StochasticMatrix) -> list[Fraction]:
         P[j-1][j]*pi[j-1] + P[j][j]*pi[j] + P[j+1][j]*pi[j+1] == pi[j],
 
     so pi is back-substituted from pi[n-1] = 1 in O(n) and then normalized.
-    The back-substitution runs on integer numerators over D, the lcm of the
-    band's denominators, and reduces each entry of pi once, where Fraction
-    arithmetic would take a gcd on every step.  Any other matrix goes to
-    fraction Gaussian elimination.  Both routes solve the same system, so
-    they return equal fractions, and both raise SolverError when it is
-    singular.
+    The back-substitution runs on the matrix's own int numerators over its
+    ``den`` and reduces each entry of pi once, where Fraction arithmetic
+    would take a gcd on every step.  Any other matrix goes to fraction
+    Gaussian elimination.  Both routes solve the same system, so they
+    return equal fractions, and both raise SolverError when it is singular.
     """
-    band = m.band()
-    if m.n and band is not None and all(band[3][: m.n - 1]):
-        return _solve_band(band[1], band[2], band[3])
+    rows = m.numerators
+    in_band = all(j == 0 or abs(j - i) <= 1 for i, cells in enumerate(rows) for j in cells)
+    if in_band and all(rows[j].get(j + 1) for j in range(m.n - 1)):
+        return _solve_band(m.den, rows)
     return _solve_gauss(m)
 
 
-def _solve_band(
-    sub: tuple[Fraction, ...], diag: tuple[Fraction, ...], sup: tuple[Fraction, ...]
-) -> list[Fraction]:
-    """Back-substitute the column balance recurrence; sup[:n-1] is nonzero.
+def _solve_band(den: int, rows: tuple[dict[int, int], ...]) -> list[Fraction]:
+    """Back-substitute the column balance recurrence on int numerators over
+    ``den``; every superdiagonal cell rows[j][j+1] is nonzero.
 
-    With D the lcm of the band's denominators, b, s and c hold D*sub,
-    D*diag and D*sup as ints.  Scaled by D, the recurrence becomes
-    c[j-1]*pi[j-1] == (D - s[j])*pi[j] - b[j+1]*pi[j+1].  Writing
+    With b[j], s[j] and c[j] the numerators of the sub-, main and
+    superdiagonal cells of row j, the recurrence scaled by den is
+    c[j-1]*pi[j-1] == (den - s[j])*pi[j] - b[j+1]*pi[j+1].  Writing
     pi[j] = x[j] / (c[j]*...*c[n-2]) clears the division:
-    x[j-1] = x[j]*(D - s[j]) - x[j+1]*b[j+1]*c[j] from x[n-1] = 1, all on
+    x[j-1] = x[j]*(den - s[j]) - x[j+1]*b[j+1]*c[j] from x[n-1] = 1, all on
     plain ints.  So pi is proportional to w[j] = x[j]*c[0]*...*c[j-1], and
-    each entry is reduced once, as w[j] over sum(w).
+    each entry is reduced once, as w[j] over sum(w).  No column-0 cell is
+    read, so cells (0, 0) and (1, 0) count as column 0, not as band.
     """
-    n = len(diag)
-    d = lcm(*{f.denominator for cells in (sub, diag, sup) for f in cells})
-    b, s, c = (
-        [f.numerator * (d // f.denominator) for f in cells] for cells in (sub, diag, sup)
-    )
+    n = len(rows)
+    c = [rows[j][j + 1] for j in range(n - 1)]
     x = [0] * n
     x[n - 1] = 1
     for j in range(n - 1, 0, -1):
-        v = x[j] * (d - s[j])
+        v = x[j] * (den - rows[j].get(j, 0))
         if j + 1 < n:
-            v -= x[j + 1] * b[j + 1] * c[j]
+            v -= x[j + 1] * rows[j + 1].get(j, 0) * c[j]
         x[j - 1] = v
     w = [v * p for v, p in zip(x, accumulate(c, mul, initial=1))]
     total = sum(w)
@@ -177,14 +174,13 @@ def power_iteration(
     same order, so every iterate, the iteration count and a
     ConvergenceError's vector are bit-identical to the loop's.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    n = m.n
-    if n == 0:
-        raise ValueError("matrix has no states")
-    rows = [[(j, float(x)) for j, x in m.nonzeros(i)] for i in range(n)]
+    n, den = m.n, m.den
+    # v / den is float(Fraction(v, den)): one correctly rounded division
+    rows = [[(j, v / den) for j, v in cells.items()] for cells in m.numerators]
     v = [1.0 / n] * n
     step = partial(_loop_step, rows)
     for iteration in range(1, max_iter + 1):
@@ -277,16 +273,16 @@ def _int_mul(x: _IntRows, y: _IntRows) -> _IntRows:
 def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
     """Exact n-th matrix power; rows stay stochastic.
 
-    With D the lcm of the denominators of P's nonzero cells, A = D*P is an
-    integer matrix, and P**n = A**n / D**n.  A**n comes from square-and-
-    multiply on plain ints (O(log n) sparse products, no gcd per cell),
-    and each cell of the result is reduced once, as a Fraction over D**n.
+    P is its int numerators A over ``m.den``, so P**n = A**n / den**n.
+    A**n comes from square-and-multiply on plain ints (O(log n) sparse
+    products, no gcd per cell), and the matrix normaliser divides A**n and
+    den**n by their gcd once.
     """
+    if not _is_int(n):
+        raise ValueError(f"exponent must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
-    rows = [m.nonzeros(i) for i in range(m.n)]
-    d = lcm(*(x.denominator for row in rows for _, x in row))
-    base = [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in rows]
+    base = [list(cells.items()) for cells in m.numerators]
     result: _IntRows | None = None
     e = n
     while e:
@@ -295,35 +291,35 @@ def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
         e >>= 1
         if e:
             base = _int_mul(base, base)
-    den = d**n
-    cells = {(i, j): Fraction(v, den) for i, row in enumerate(result) for j, v in row}
     label = f"pow({m.label},{n})" if m.label else ""
-    return StochasticMatrix.from_cells(m.n, cells, label=label)
+    return StochasticMatrix._new(m.n, m.den**n, result, label)
 
 
 def simulate(
     m: StochasticMatrix, steps: int, seed: int, start: int = 0
 ) -> SimulationResult:
     """Run one seeded trajectory and count visits after each transition."""
-    n = m.n
+    for name, value in (("steps", steps), ("seed", seed), ("start", start)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n, den = m.n, m.den
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0 <= start < n:
         raise ValueError(f"start state {start} outside 0..{n - 1}")
     targets = []
     cumulative = []
-    for i in range(n):
-        cells = m.nonzeros(i)
+    for i, cells in enumerate(m.numerators):
         if not cells:
             raise ValueError(f"row {i} has no nonzero entry")
         acc = 0.0
         cum = []
-        for _, x in cells:
-            acc += float(x)
+        for v in cells.values():
+            acc += v / den
             cum.append(acc)
         # float drift at the top end goes to the last possible target
         cum[-1] = 1.0
-        targets.append([j for j, _ in cells])
+        targets.append(list(cells))
         cumulative.append(cum)
     rng = random.Random(seed)
     draw = rng.random

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import KINDS, ChainFamily, ParameterError, build, truncated_infinite_chain
+from .chains import KINDS, ChainFamily, ParameterError, _is_int, build, truncated_infinite_chain
 from .quadratic import (
     BETA,
     ONE,
@@ -236,6 +236,8 @@ def q_invariance_row(report: QInvarianceReport) -> dict:
 
 def beta_power_row(max_n: int) -> dict:
     """Summary row of ``beta_power_identity`` for every n in 1..max_n."""
+    if not _is_int(max_n) or max_n < 1:
+        raise ParameterError(f"beta_power_row needs an integer max_n >= 1, got {max_n!r}")
     ok = all(beta_power_identity(k) for k in range(1, max_n + 1))
     return _row(
         "beta-power-identity",

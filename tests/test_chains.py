@@ -1,8 +1,12 @@
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from balchain import steady
 from balchain.chains import (
     KINDS,
     ChainFamily,
@@ -25,6 +29,7 @@ from balchain.chains import (
     validate,
 )
 from balchain.cli import _make_family, main
+from balchain.steady import _solve_gauss, solve_exact
 
 R = Fraction
 
@@ -335,35 +340,96 @@ def test_entry_bounds_checked():
         m.entry(0, -1)
 
 
-def test_band_store_collisions_resolve_to_column_zero():
-    # cells (0, 0) and (1, 0) lie on column 0 and on the band; band() files
-    # them under column 0, so diag[0], sub[1] and sup[n-1] are never set
+def solve_by_band_route(monkeypatch, m):
+    """solve_exact(m), failing if it falls back to elimination."""
+
+    def no_elimination(m):
+        raise AssertionError("band-shaped chain fell back to elimination")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steady, "_solve_gauss", no_elimination)
+        return solve_exact(m)
+
+
+def test_band_store_collisions_resolve_to_column_zero(monkeypatch):
+    # cells (0, 0) and (1, 0) lie on column 0 and on the band; the band
+    # solver never reads column 0, so they take the band route unharmed
     z, h, k = R(0), R(1, 2), R(1, 4)
     m = StochasticMatrix.from_rows([[h, h, z], [h, k, k], [R(5, 6), R(1, 6), z]])
     assert m.nonzeros(0) == [(0, h), (1, h)]
     assert m.nonzeros(1) == [(0, h), (1, k), (2, k)]
     assert m.nonzeros(2) == [(0, R(5, 6)), (1, R(1, 6))]
     assert m.nonzero_count() == 7
-    col0, sub, diag, sup = m.band()
-    assert col0 == (h, h, R(5, 6))
-    assert (diag[0], sub[1], sup[2]) == (z, z, z)
-    assert (sup[0], diag[1], sup[1], sub[2]) == (h, k, k, R(1, 6))
+    assert m.den == 12
+    assert m.numerators == ({0: 6, 1: 6}, {0: 6, 1: 3, 2: 3}, {0: 10, 1: 2})
+    assert solve_by_band_route(monkeypatch, m) == _solve_gauss(m)
     assert validate(m).ok
 
 
 @pytest.mark.parametrize("family", all_families(), ids=lambda f: f.label)
-def test_band_shape_is_the_same_on_both_stores(family):
+def test_band_shape_is_the_same_on_both_stores(monkeypatch, family):
+    # a family built from its cells and the same matrix read from dense rows
     banded = build(family)
     dense = StochasticMatrix.from_rows(banded.rows())
-    assert dense.band() == banded.band()
+    assert (dense.den, dense.numerators) == (banded.den, banded.numerators)
     for i in range(dense.n):
         assert dense.nonzeros(i) == banded.nonzeros(i)
+    assert solve_by_band_route(monkeypatch, dense) == solve_by_band_route(monkeypatch, banded)
 
 
-def test_band_shape_rejects_cells_off_the_pattern():
+def test_band_shape_rejects_cells_off_the_pattern(monkeypatch):
     rows = [list(row) for row in build(balancing_chain(5)).rows()]
     rows[1][3] = R(1, 100)
-    assert StochasticMatrix.from_rows(rows).band() is None
+    m = StochasticMatrix.from_rows(rows)
+    calls = []
+    monkeypatch.setattr(steady, "_solve_gauss", lambda m: calls.append(m) or [])
+    solve_exact(m)
+    assert calls == [m]
+
+
+def test_empty_matrix_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="matrix has no states"):
+        StochasticMatrix.from_rows([])
+    with pytest.raises(ValueError, match="matrix has no states"):
+        StochasticMatrix.from_cells(0, {})
+
+
+# mixed and shared denominators, negatives and zeros
+store_cells = st.one_of(
+    st.just(R(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=30),
+    st.sampled_from([R(1, 7), R(2, 49), R(-5, 14), R(1, 6), R(1, 210)]),
+)
+square_rows = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(store_cells, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(square_rows)
+def test_store_is_canonical(rows):
+    n = len(rows)
+    m = StochasticMatrix.from_rows(rows)
+    cells = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+    assert m.den == lcm(*(x.denominator for x in cells.values()))
+    assert m.rows() == [tuple(row) for row in rows]
+    assert all(m.entry(i, j) == rows[i][j] for i in range(n) for j in range(n))
+    for i in range(n):
+        assert m.nonzeros(i) == [(j, x) for j, x in enumerate(rows[i]) if x]
+    assert m == StochasticMatrix.from_cells(n, cells)
+
+
+@given(
+    st.sampled_from(sorted(KINDS)),
+    st.integers(3, 30),
+    st.integers(2, 12),
+    st.sampled_from([R(1, 7), R(1, 14), R(2, 49), R(1, 6), R(3, 100)]),
+)
+def test_built_store_is_canonical(kind, n, a, q):
+    spec = KINDS[kind]
+    assume(not (spec.takes_a and spec.takes_q) or q <= R(1, a))
+    a, q = (a if spec.takes_a else None), (q if spec.takes_q else None)
+    m = build(ChainFamily(kind, max(n, spec.min_n), a, q))
+    assert m == StochasticMatrix.from_rows(m.rows())
 
 
 def test_validate_reports_are_equal_on_both_stores():

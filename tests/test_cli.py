@@ -251,12 +251,14 @@ def test_solve_power_non_convergence_exit_code(capsys):
 
 
 def test_solve_power_nan_tolerance_is_a_parameter_error(capsys):
-    code, out, err = run_cli(
-        capsys, "solve", "balancing", "--n", "4", "--method", "power", "--tol", "nan"
-    )
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"]["code"] == 2
+    for tol in ("nan", "inf"):
+        code, out, err = run_cli(
+            capsys, "solve", "balancing", "--n", "4", "--method", "power", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        message = f"tol must be finite and > 0, got {tol}"
+        assert json.loads(err)["error"] == {"code": 2, "message": message}
 
 
 def test_solve_simulate_deterministic(capsys):

@@ -145,6 +145,8 @@ def test_power_iteration_parameter_checks():
         power_iteration(m, tol=0.0)
     with pytest.raises(ValueError):
         power_iteration(m, tol=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        power_iteration(m, tol=float("inf"))
     with pytest.raises(ValueError):
         power_iteration(m, max_iter=0)
 
@@ -273,6 +275,12 @@ def test_n_step_one_is_the_matrix_itself():
         n_step(m, 0)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True, None, "2"])
+def test_n_step_needs_an_integer_exponent(k):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        n_step(build(balancing_chain(4)), k)
+
+
 def test_n_step_rows_stay_stochastic():
     m = build(balancing_chain(3))
     squared = n_step(m, 2)
@@ -394,6 +402,23 @@ def test_simulate_parameter_checks():
         simulate(m, steps=10, seed=1, start=4)
 
 
+@pytest.mark.parametrize(
+    "steps, seed, start, name",
+    [
+        (1.5, 1, 0, "steps"),
+        (True, 1, 0, "steps"),
+        (10, None, 0, "seed"),
+        (10, 1.0, 0, "seed"),
+        (10, False, 0, "seed"),
+        (10, 1, 1.0, "start"),
+        (10, 1, True, "start"),
+    ],
+)
+def test_simulate_needs_integer_arguments(steps, seed, start, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        simulate(build(balancing_chain(4)), steps, seed, start)
+
+
 def solve_or_singular(solver, m):
     try:
         return solver(m)
@@ -412,6 +437,11 @@ band_cells = st.sampled_from(
 def band_matrices(draw):
     n = draw(st.integers(min_value=1, max_value=9))
     return [draw(st.lists(band_cells, min_size=n, max_size=n)) for _ in range(4)]
+
+
+def in_band(m):
+    """Every nonzero of m off column 0 lies on the tridiagonal band."""
+    return all(j == 0 or abs(j - i) <= 1 for i, cells in enumerate(m.numerators) for j in cells)
 
 
 def band_rows(arrays):
@@ -453,7 +483,7 @@ def test_band_route_equals_gaussian_elimination(arrays):
     dense = StochasticMatrix.from_rows(band_rows(arrays))
     reference = solve_or_singular(_solve_gauss, dense)
     for m in (dense, matrix_from_json(matrix_to_json(dense))):
-        assert m.band() is not None
+        assert in_band(m)
         assert solve_or_singular(solve_exact, m) == reference
 
 
@@ -515,7 +545,7 @@ def test_zero_superdiagonal_falls_back_to_elimination(monkeypatch):
 def test_full_matrix_solves_by_elimination(monkeypatch):
     rows = [[R(1 + i + j, 10 + 4 * i) for j in range(4)] for i in range(4)]
     m = StochasticMatrix.from_rows(rows)
-    assert m.band() is None
+    assert not in_band(m)
     expected = _solve_gauss(m)
     assert sum(expected) == 1
     calls = []

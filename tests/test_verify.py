@@ -149,6 +149,13 @@ def test_q_invariance_rejects_an_empty_q_list_before_solving(monkeypatch):
         q_invariance(8, [], "balancing")
 
 
+def test_beta_power_row_needs_a_size():
+    assert verify.beta_power_row(1)["exact_match"] is True
+    for max_n in (0, -3, 2.0, True):
+        with pytest.raises(ParameterError, match=f"needs an integer max_n >= 1, got {max_n!r}"):
+            verify.beta_power_row(max_n)
+
+
 def test_truncation_gap_shrinks_geometrically():
     table = truncation_convergence(list(range(5, 16)))
     gaps = [gap for _, gap in table]
