@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .sequences import _is_int
+
 __all__ = [
     "ParameterError",
     "ChainFamily",
@@ -54,10 +56,6 @@ _ZERO = Fraction(0)
 
 class ParameterError(ValueError):
     """A family parameter is outside its documented bounds."""
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

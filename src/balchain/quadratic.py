@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, isqrt, nextafter
 
-from .sequences import BALANCING, term
+from .sequences import BALANCING, _require_int, term
 
 __all__ = [
     "QuadInt",
@@ -98,9 +98,12 @@ BETA = QuadInt(3, -2)
 
 
 def beta_power_identity(n: int) -> bool:
-    """Check BETA**(n+1) == BETA*B[n+1] - B[n] exactly in Z[sqrt(2)]."""
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
+    """Check BETA**(n+1) == BETA*B[n+1] - B[n] exactly in Z[sqrt(2)].
+
+    This is the single-n check; ``verify.beta_power_row`` checks a whole
+    range in one walk.
+    """
+    _require_int("index", n, 1)
     b_next = term(BALANCING, n + 1)
     b_cur = term(BALANCING, n)
     return BETA ** (n + 1) == BETA * b_next - b_cur
@@ -162,8 +165,7 @@ def silver_ratio_gap(n: int, digits: int = 50) -> Fraction:
     lo <= sqrt(2) is an upper bound on the true gap; since lo is fixed for
     a given precision, the bound inherits the ratio's strict monotonicity.
     """
-    if n < 2:
-        raise ValueError(f"index must be >= 2, got {n}")
+    _require_int("index", n, 2)
     lo, _ = sqrt2_bounds(digits)
     ratio = Fraction(term(BALANCING, n - 1), term(BALANCING, n))
     return 3 - 2 * lo - ratio

@@ -4,7 +4,13 @@ A balancing number is a natural number N for which 8*N**2 + 1 is a perfect
 square; the square roots of those discriminants are the Lucas-balancing
 numbers.  Cobalancing numbers satisfy the shifted condition
 8*N**2 + 8*N + 1 = square.  All of these, and the Pell numbers, come out of
-one second-order recurrence engine with exact arbitrary-precision integers.
+one second-order recurrence with exact arbitrary-precision integers:
+``sequence`` steps it once per term, and ``term`` and
+``balancing_matrix_power`` read one doubling engine (``_lucas_u``) that
+jumps to index k in three big-integer products per bit of k.
+
+Every index, count, exponent and multiplier is an int (bool excluded);
+anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -49,6 +55,18 @@ __all__ = [
 ]
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_int(name: str, value: object, least: int) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, >= ``least``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """Engine parameters for x[k+1] = coeff*x[k] + back*x[k-1] + shift.
@@ -90,29 +108,28 @@ def balancing_like(a: int) -> SequenceKind:
     a=2 gives the natural numbers, a=3 the even-indexed Fibonacci numbers,
     and a=6 the balancing numbers.
     """
-    if a < 2:
-        raise ValueError(f"multiplier must be >= 2, got {a}")
+    _require_int("multiplier", a, 2)
     return SequenceKind(f"balancing-like({a})", RecurrenceSpec(a, 0, 0, 1))
 
 
 def term(kind: SequenceKind, n: int) -> int:
     """n-th term of the sequence, 0-indexed, in O(log n) big-integer products.
 
-    The n-th power of the recurrence's companion matrix (see
-    ``_companion_power``) maps (x1, x0, 1) to (x[n+1], x[n], 1).
+    Every solution of the recurrence is x1*U[n] + x0*(U[n+1] - coeff*U[n])
+    + shift*T[n], with U, T as in ``_lucas_u``: the first two are the
+    homogeneous solutions with (x0, x1) = (0, 1) and (1, 0), and shift*T[n]
+    the solution from (0, 0).
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _require_int("index", n, 0)
     r = kind.recurrence
-    _, (p, q, u) = _companion_power(r, n)
-    return p * r.x1 + q * r.x0 + u
+    u, u1, t = _lucas_u(r, n)
+    return r.x1 * u + r.x0 * (u1 - r.coeff * u) + r.shift * t
 
 
 def _recurrence(r: RecurrenceSpec, count: int, prev, cur) -> Iterator:
     """x[0], ..., x[count-1] from x[0] = prev and x[1] = cur, computed in
     the type of the start values (int, or Decimal under an exact context)."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    _require_int("count", count, 0)
     coeff, back, shift = r.coeff, r.back, r.shift
     for _ in range(count):
         yield prev
@@ -166,40 +183,35 @@ def _decimal_terms(kind: SequenceKind, count: int) -> list[str]:
 
 def integer_sqrt(n: int) -> tuple[int, bool]:
     """Floor square root and an exactness flag: (isqrt(n), isqrt(n)**2 == n)."""
-    if n < 0:
-        raise ValueError(f"square root of negative integer {n}")
+    _require_int("square root argument", n, 0)
     root = isqrt(n)
     return root, root * root == n
 
 
 def is_balancing(n: int) -> tuple[bool, int | None]:
     """Whether 8*n**2 + 1 is a perfect square; the root is the witness."""
-    if n < 1:
-        raise ValueError(f"argument must be >= 1, got {n}")
+    _require_int("argument", n, 1)
     root, exact = integer_sqrt(8 * n * n + 1)
     return (True, root) if exact else (False, None)
 
 
 def is_cobalancing(n: int) -> tuple[bool, int | None]:
     """Whether 8*n**2 + 8*n + 1 is a perfect square; the root is the witness."""
-    if n < 0:
-        raise ValueError(f"argument must be >= 0, got {n}")
+    _require_int("argument", n, 0)
     root, exact = integer_sqrt(8 * n * n + 8 * n + 1)
     return (True, root) if exact else (False, None)
 
 
 def check_sum_identity(n: int) -> bool:
     """True iff twice the sum of the first n-1 balancing numbers equals b[n]."""
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
+    _require_int("index", n, 1)
     total = sum(sequence(BALANCING, n))
     return 2 * total == term(COBALANCING, n)
 
 
 def check_pell_links(n: int) -> tuple[bool, bool]:
     """Check P[2n] == 2*B[n] and P[2n+1] == B[n+1] - B[n]."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _require_int("index", n, 0)
     b_n = term(BALANCING, n)
     b_next = term(BALANCING, n + 1)
     even_ok = term(PELL, 2 * n) == 2 * b_n
@@ -207,42 +219,47 @@ def check_pell_links(n: int) -> tuple[bool, bool]:
     return even_ok, odd_ok
 
 
-def _companion_power(
-    r: RecurrenceSpec, k: int
-) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Top two rows of M**k, M = ((coeff, back, shift), (1, 0, 0), (0, 0, 1)).
+def _lucas_u(r: RecurrenceSpec, k: int) -> tuple[int, int, int]:
+    """(U[k], U[k+1], T[k]) for U[j+1] = coeff*U[j] + back*U[j-1] from
+    U[0] = 0, U[1] = 1, and T[k] = U[0] + ... + U[k-1].
 
-    M maps (x[j], x[j-1], 1) to (x[j+1], x[j], 1), so the shift needs no
-    division; the bottom row of every power is (0, 0, 1) and is left out.
-    The bits of k are read from the top: each squares the power so far,
-    and a set bit then multiplies by M, which costs only small-by-big
-    products.
+    The bits of k are read from the top.  Each doubles the index,
+        U[2j]   = U[j]*(2*U[j+1] - coeff*U[j])
+        U[2j+1] = U[j+1]**2 + back*U[j]**2
+        T[2j]   = T[j]*(1 + U[j+1] + (1 - coeff)*U[j]) + U[j]**2
+    (valid for every coeff and back, with no division), and a set bit then
+    steps once, which costs only small-by-big products.  That is three big
+    products per bit, two of them squares, and T's product only when the
+    recurrence has a shift; without one T[k] is returned as 0.
+    (M. Joye and J.-J. Quisquater, "Efficient computation of full Lucas
+    sequences", Electronics Letters 32(6), 1996.)
     """
-    c, b, s = r.coeff, r.back, r.shift
-    (p, q, u), (v, w, t) = (1, 0, 0), (0, 1, 0)
+    c, b, shifted = r.coeff, r.back, r.shift != 0
+    u, u1, t = 0, 1, 0
     for bit in bin(k)[2:]:
-        qv, pw = q * v, p + w
-        p, q, u, v, w, t = (
-            p * p + qv, q * pw, p * u + q * t + u,
-            v * pw, qv + w * w, v * u + w * t + t,
-        )
+        uu = u * u
+        if shifted:
+            t = t * (1 + u1 + (1 - c) * u) + uu
+        u, u1 = u * (2 * u1 - c * u), u1 * u1 + b * uu
         if bit == "1":
-            p, q, u, v, w, t = c * p + b * v, c * q + b * w, c * u + b * t + s, p, q, u
-    return (p, q, u), (v, w, t)
+            if shifted:
+                t += u
+            u, u1 = u1, c * u1 + b * u
+    return u, u1, t
 
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 def balancing_matrix_power(n: int) -> Matrix2:
-    """n-th power of ((6, 1), (-1, 0)) by squaring, in O(log n) products.
+    """n-th power of ((6, 1), (-1, 0)), in O(log n) big-integer products.
 
-    The base is the transpose of the balancing recurrence's companion
-    block ((6, -1), (1, 0)), so the result is the transposed block of
-    ``_companion_power`` and carries consecutive balancing numbers:
-    ((B[n+1], B[n]), (-B[n], -B[n-1])).
+    The power carries consecutive balancing numbers,
+    ((B[n+1], B[n]), (-B[n], -B[n-1])), and B is the balancing
+    recurrence's U, so it is read off ``_lucas_u`` with
+    -B[n-1] = B[n+1] - 6*B[n].
     """
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1, got {n}")
-    (p, q, _), (v, w, _) = _companion_power(BALANCING.recurrence, n)
-    return (p, v), (q, w)
+    _require_int("exponent", n, 1)
+    r = BALANCING.recurrence
+    u, u1, _ = _lucas_u(r, n)
+    return (u1, u), (-u, u1 - r.coeff * u)

@@ -25,7 +25,8 @@ from itertools import accumulate
 from math import inf
 from operator import mul
 
-from .chains import StochasticMatrix, _is_int
+from .chains import StochasticMatrix
+from .sequences import _is_int, _require_int
 
 __all__ = [
     "SolverError",
@@ -176,8 +177,7 @@ def power_iteration(
     """
     if not 0 < tol < inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _require_int("max_iter", max_iter, 1)
     n, den = m.n, m.den
     # v / den is float(Fraction(v, den)): one correctly rounded division
     rows = [[(j, v / den) for j, v in cells.items()] for cells in m.numerators]
@@ -278,10 +278,7 @@ def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
     products, no gcd per cell), and the matrix normaliser divides A**n and
     den**n by their gcd once.
     """
-    if not _is_int(n):
-        raise ValueError(f"exponent must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1, got {n}")
+    _require_int("exponent", n, 1)
     base = [list(cells.items()) for cells in m.numerators]
     result: _IntRows | None = None
     e = n

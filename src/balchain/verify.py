@@ -13,17 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
-from .chains import KINDS, ChainFamily, ParameterError, _is_int, build, truncated_infinite_chain
+from .chains import KINDS, ChainFamily, ParameterError, build, truncated_infinite_chain
 from .quadratic import (
     BETA,
     ONE,
-    beta_power_identity,
     float_upper,
     gap_bound,
     infinite_steady_state,
 )
-from .sequences import BALANCING, RecurrenceSpec, SequenceKind, sequence, term
+from .sequences import (
+    BALANCING,
+    RecurrenceSpec,
+    SequenceKind,
+    _is_int,
+    _recurrence,
+    sequence,
+    term,
+)
 from .steady import solve_exact
 
 __all__ = [
@@ -235,10 +243,26 @@ def q_invariance_row(report: QInvarianceReport) -> dict:
 
 
 def beta_power_row(max_n: int) -> dict:
-    """Summary row of ``beta_power_identity`` for every n in 1..max_n."""
+    """Summary row of ``beta_power_identity`` for every n in 1..max_n.
+
+    One walk over n: BETA**(n+1) is carried by one ring multiply per step
+    and (B[n], B[n+1]) by the balancing recurrence, so the row costs O(max_n)
+    small-by-big products where a ``beta_power_identity`` call per n would
+    redo the power and two terms each time.  It stops at the first n that
+    fails.
+    """
     if not _is_int(max_n) or max_n < 1:
         raise ParameterError(f"beta_power_row needs an integer max_n >= 1, got {max_n!r}")
-    ok = all(beta_power_identity(k) for k in range(1, max_n + 1))
+    r = BALANCING.recurrence
+    terms = pairwise(_recurrence(r, max_n + 2, r.x0, r.x1))
+    next(terms)  # (B[0], B[1])
+    power = BETA
+    ok = True
+    for b_cur, b_next in terms:
+        power *= BETA
+        if power != BETA * b_next - b_cur:
+            ok = False
+            break
     return _row(
         "beta-power-identity",
         max_n,

@@ -153,6 +153,13 @@ def test_silver_ratio_gap_values():
         silver_ratio_gap(1)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, None], ids=repr)
+def test_indices_must_be_ints(bad):
+    for check in (beta_power_identity, silver_ratio_gap):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check(bad)
+
+
 def test_silver_ratio_gap_decreases():
     gaps = [silver_ratio_gap(n) for n in range(2, 41)]
     assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))

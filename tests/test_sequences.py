@@ -127,6 +127,25 @@ def test_balancing_like_rejects_small_multiplier():
         balancing_like(1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, None, "3"], ids=repr)
+def test_sequence_layer_rejects_non_int_arguments(bad):
+    # one rule: an int, bool excluded, or ValueError
+    calls = [
+        lambda: term(BALANCING, bad),
+        lambda: sequence(BALANCING, bad),
+        lambda: balancing_matrix_power(bad),
+        lambda: balancing_like(bad),
+        lambda: check_sum_identity(bad),
+        lambda: check_pell_links(bad),
+        lambda: is_balancing(bad),
+        lambda: is_cobalancing(bad),
+        lambda: integer_sqrt(bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         term(BALANCING, -1)
@@ -232,3 +251,37 @@ def test_balancing_matrix_power_structure():
     b = sequence(BALANCING, 3002)
     for n in range(1, 3001):
         assert balancing_matrix_power(n) == ((b[n + 1], b[n]), (-b[n], -b[n - 1]))
+
+
+def test_balancing_matrix_power_is_unimodular():
+    for n in range(1, 3001):
+        (p, q), (r, s) = balancing_matrix_power(n)
+        assert p * s - q * r == 1
+
+
+# the doubling engine behind term: indices at and next to each power of two
+# take every path through its bit loop (a lone top bit, all bits set, ...)
+ENGINE_INDICES = sorted({0, 1} | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)})
+
+ENGINE_SPECS = [
+    RecurrenceSpec(coeff, shift, x0, x1, back)
+    for back in (-2, 0, 3)
+    for coeff, shift, x0, x1 in ((2, 0, 0, 1), (-3, 1, 2, -1), (5, -4, 1, 3))
+] + [
+    RecurrenceSpec(2, 3, 5, -1, back=-1),  # 1 - coeff - back == 0
+    RecurrenceSpec(0, 2, 1, 1, back=1),  # 1 - coeff - back == 0, coeff 0
+    RecurrenceSpec(1, -1, 0, 0, back=0),  # 1 - coeff - back == 0, back 0
+]
+
+ENGINE_KINDS = (
+    list(NAMED_KINDS.values())
+    + [balancing_like(a) for a in range(2, 10)]
+    + [SequenceKind(f"spec{i}", spec) for i, spec in enumerate(ENGINE_SPECS)]
+)
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS, ids=lambda k: k.name)
+def test_term_matches_the_linear_sequence_at_powers_of_two(kind):
+    terms = sequence(kind, ENGINE_INDICES[-1] + 1)
+    for k in ENGINE_INDICES:
+        assert term(kind, k) == terms[k], k

@@ -149,6 +149,9 @@ def test_power_iteration_parameter_checks():
         power_iteration(m, tol=float("inf"))
     with pytest.raises(ValueError):
         power_iteration(m, max_iter=0)
+    for max_iter in (1.5, 3.0, True, None):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            power_iteration(m, max_iter=max_iter)
 
 
 def test_power_iteration_rejects_an_empty_matrix():

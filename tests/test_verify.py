@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from balchain import verify
+from balchain import quadratic, verify
 from balchain.chains import (
     ParameterError,
     balancing_chain,
@@ -17,7 +17,7 @@ from balchain.chains import (
     truncated_infinite_chain,
 )
 from balchain.cli import main
-from balchain.quadratic import BETA, ONE, gap_bound, infinite_steady_state
+from balchain.quadratic import BETA, ONE, QuadInt, gap_bound, infinite_steady_state
 from balchain.sequences import BALANCING, COBALANCING, PELL, sequence, term
 from balchain.steady import solve_exact
 from balchain.verify import (
@@ -154,6 +154,26 @@ def test_beta_power_row_needs_a_size():
     for max_n in (0, -3, 2.0, True):
         with pytest.raises(ParameterError, match=f"needs an integer max_n >= 1, got {max_n!r}"):
             verify.beta_power_row(max_n)
+
+
+def test_beta_power_row_agrees_with_the_single_n_check():
+    singles = [quadratic.beta_power_identity(k) for k in range(1, 201)]
+    assert all(singles)
+    for max_n in range(1, 201):
+        assert verify.beta_power_row(max_n)["exact_match"] is all(singles[:max_n])
+
+
+@pytest.mark.parametrize("mutant", [QuadInt(1, 1), QuadInt(3, 2) * QuadInt(3, 2)], ids=str)
+def test_beta_power_row_fails_for_a_wrong_beta(monkeypatch, mutant):
+    # 3+2*sqrt(2) satisfies the identity too (it is BETA's conjugate), so
+    # it is no mutant; its square is not a root of x**2 - 6x + 1
+    for module in (quadratic, verify):
+        monkeypatch.setattr(module, "BETA", mutant)
+    assert quadratic.beta_power_identity(1) is False
+    for max_n in (1, 5, 50):
+        row = verify.beta_power_row(max_n)
+        assert row["exact_match"] is False
+        assert row["max_gap"] == "mismatch"
 
 
 def test_truncation_gap_shrinks_geometrically():
