@@ -14,8 +14,8 @@ one registry row.  ``ChainFamily`` is the one constructor: it checks every
 instance against its row.
 
 A matrix is one denominator plus int numerators of each row's nonzero
-cells, made canonical by one normaliser; the solvers read those ints, and
-walking a matrix is O(nnz).
+cells, in lowest terms, so equal matrices have equal stores; the solvers
+read those ints, and walking a matrix is O(nnz).
 """
 
 from __future__ import annotations
@@ -281,31 +281,44 @@ class StochasticMatrix:
 
     @classmethod
     def _exact(cls, n: int, rows: list, label: str) -> "StochasticMatrix":
-        """Rows of ``(j, exact number)`` pairs, put over the lcm of their
-        denominators."""
+        """Rows of ``(j, exact number)`` pairs in column order, zeros
+        dropped and put over ``den``, the lcm of the reduced denominators.
+
+        That is already in lowest terms: if p**e exactly divides ``den``,
+        it divides some cell's denominator, so p does not divide that
+        cell's numerator times ``den // denominator``.  No gcd is needed.
+        """
         rows = [
             [(j, x if type(x) is Fraction else Fraction(x)) for j, x in row if x] for row in rows
         ]
         den = lcm(*{x.denominator for row in rows for _, x in row})
-        ints = [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in rows]
+        ints = [{j: x.numerator * (den // x.denominator) for j, x in row} for row in rows]
         return cls._new(n, den, ints, label)
 
     @classmethod
-    def _new(cls, n: int, den: int, rows: list, label: str) -> "StochasticMatrix":
-        """The normaliser behind every matrix, for rows of ``(j, int)``
-        pairs over ``den`` in column order: zeros are dropped, and ``den``
-        and the numerators are divided by their gcd, which makes ``den``
-        the lcm of the reduced cells' denominators."""
-        if n < 1:
-            raise ValueError("matrix has no states")
+    def _lowest_terms(cls, n: int, den: int, rows: list, label: str) -> "StochasticMatrix":
+        """Matrix from rows of ``(j, int)`` pairs over ``den`` in column
+        order that may share a factor: zeros are dropped, and ``den`` and
+        the numerators are divided by their gcd, which makes ``den`` the
+        lcm of the reduced cells' denominators."""
         g = den
         for row in rows:  # most matrices reach 1 within a row or two
             g = gcd(g, *(v for _, v in row))
             if g == 1:
                 break
+        ints = [{j: v // g for j, v in row if v} for row in rows]
+        return cls._new(n, den // g, ints, label)
+
+    @classmethod
+    def _new(cls, n: int, den: int, rows: list, label: str) -> "StochasticMatrix":
+        """The constructor behind every matrix: ``rows`` are ``{j: int}``
+        maps of nonzero numerators in column order, in lowest terms with
+        ``den``."""
+        if n < 1:
+            raise ValueError("matrix has no states")
         self = object.__new__(cls)
-        self.n, self.label, self.den = n, label, den // g
-        self.numerators = tuple({j: v // g for j, v in row if v} for row in rows)
+        self.n, self.label, self.den = n, label, den
+        self.numerators = tuple(rows)
         return self
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -380,15 +393,17 @@ def _cells(n: int, a: int, q: int, one: int, boundary: str) -> list[dict[int, in
 def build(family: ChainFamily) -> StochasticMatrix:
     """Materialize a family instance as a StochasticMatrix.
 
-    The cells are int numerators over 7 times q's denominator, which the
-    normaliser reduces to the matrix's ``den``.
+    The cells are int numerators over 7 times q's denominator, which
+    ``_lowest_terms`` reduces to the matrix's ``den``.
     """
     spec = KINDS[family.kind]
     coeff = family.coeff
     q = family.q if spec.takes_q else Fraction(1, coeff)
     den = 7 * q.denominator
     rows = _cells(family.n, coeff, 7 * q.numerator, den, spec.boundary)
-    return StochasticMatrix._new(family.n, den, [row.items() for row in rows], family.label)
+    return StochasticMatrix._lowest_terms(
+        family.n, den, [row.items() for row in rows], family.label
+    )
 
 
 @dataclass
@@ -479,18 +494,33 @@ def validate(m: StochasticMatrix) -> ValidationReport:
     )
 
 
+def _cell_strings(m: StochasticMatrix) -> list[list[str]]:
+    """Each row's cells as reduced fraction strings, zeros as "0".  Only
+    the stored cells are formatted, once per distinct numerator."""
+    text: dict[int, str] = {}
+    out = []
+    for cells in m.numerators:
+        row = ["0"] * m.n
+        for j, v in cells.items():
+            s = text.get(v)
+            if s is None:
+                s = text[v] = str(Fraction(v, m.den))
+            row[j] = s
+        out.append(row)
+    return out
+
+
 def matrix_to_csv(m: StochasticMatrix) -> str:
     """Row-major CSV of reduced fraction strings, one matrix row per line."""
-    return "\n".join(",".join(str(x) for x in m.row(i)) for i in range(m.n))
+    return "\n".join(",".join(row) for row in _cell_strings(m))
 
 
 def matrix_to_json(m: StochasticMatrix) -> str:
-    payload = {
-        "n": m.n,
-        "family": m.label,
-        "rows": [[str(x) for x in m.row(i)] for i in range(m.n)],
-    }
-    return json.dumps(payload)
+    """``json.dumps`` of ``{"n", "family", "rows"}`` with the cells as
+    strings, byte for byte; a cell string holds only digits, "-" and "/",
+    so it is quoted without escapes."""
+    rows = ", ".join('["' + '", "'.join(row) + '"]' for row in _cell_strings(m))
+    return f'{{"n": {m.n}, "family": {json.dumps(m.label)}, "rows": [{rows}]}}'
 
 
 def _parse_cell(cell: object) -> Fraction:
@@ -513,7 +543,8 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     A cell is a JSON integer or a string that parses as an exact fraction
     ("num/den", an integer or a decimal).  JSON floats are rejected because
     they are binary approximations; every malformed payload raises
-    ParameterError.  Each distinct cell string is parsed once per call.
+    ParameterError.  Each distinct cell string is parsed once per call, a
+    "0" not at all, and only the nonzero cells reach the exact store.
     """
     try:
         payload = json.loads(text)
@@ -530,10 +561,12 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     if not isinstance(label, str):
         raise ParameterError(f'matrix "family" must be a string, got {label!r}')
     parsed: dict[str, Fraction] = {}
-    dense = []
+    sparse = []
     for row in rows:
-        values = []
-        for cell in row:
+        cells = []
+        for j, cell in enumerate(row):
+            if cell == "0":  # how matrix_to_json writes a zero
+                continue
             # only strings are memoised: 1, 1.0 and True are equal dict keys
             if type(cell) is str:
                 value = parsed.get(cell)
@@ -541,6 +574,6 @@ def matrix_from_json(text: str) -> StochasticMatrix:
                     value = parsed[cell] = _parse_cell(cell)
             else:
                 value = _parse_cell(cell)
-            values.append(value)
-        dense.append(values)
-    return StochasticMatrix.from_rows(dense, label=label)
+            cells.append((j, value))
+        sparse.append(cells)
+    return StochasticMatrix._exact(n, sparse, label)

@@ -126,11 +126,15 @@ def infinite_steady_state(count: int) -> list[QuadInt]:
     return out
 
 
-@lru_cache(maxsize=None)
 def sqrt2_bounds(digits: int = 50) -> tuple[Fraction, Fraction]:
-    """Fractions lo <= sqrt(2) < hi with hi - lo == 10**-digits."""
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+    """Fractions lo <= sqrt(2) < hi with hi - lo == 10**-digits; ``digits``
+    is an int >= 1, checked here for every enclosure."""
+    _require_int("digits", digits, 1)
+    return _sqrt2_bounds(digits)
+
+
+@lru_cache(maxsize=None)
+def _sqrt2_bounds(digits: int) -> tuple[Fraction, Fraction]:
     scale = 10**digits
     lo = isqrt(2 * scale * scale)
     return Fraction(lo, scale), Fraction(lo + 1, scale)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import inf
+from math import gcd, inf
 from operator import mul
 
 from .chains import StochasticMatrix
@@ -99,9 +99,10 @@ def _solve_band(den: int, rows: tuple[dict[int, int], ...]) -> list[Fraction]:
     c[j-1]*pi[j-1] == (den - s[j])*pi[j] - b[j+1]*pi[j+1].  Writing
     pi[j] = x[j] / (c[j]*...*c[n-2]) clears the division:
     x[j-1] = x[j]*(den - s[j]) - x[j+1]*b[j+1]*c[j] from x[n-1] = 1, all on
-    plain ints.  So pi is proportional to w[j] = x[j]*c[0]*...*c[j-1], and
-    each entry is reduced once, as w[j] over sum(w).  No column-0 cell is
-    read, so cells (0, 0) and (1, 0) count as column 0, not as band.
+    plain ints.  So pi is proportional to w[j] = x[j]*c[0]*...*c[j-1],
+    divided by the weights' gcd, and each entry is reduced once, as w[j]
+    over sum(w).  No column-0 cell is read, so cells (0, 0) and (1, 0)
+    count as column 0, not as band.
     """
     n = len(rows)
     c = [rows[j][j + 1] for j in range(n - 1)]
@@ -113,6 +114,9 @@ def _solve_band(den: int, rows: tuple[dict[int, int], ...]) -> list[Fraction]:
             v -= x[j + 1] * rows[j + 1].get(j, 0) * c[j]
         x[j - 1] = v
     w = [v * p for v, p in zip(x, accumulate(c, mul, initial=1))]
+    g = gcd(*w)  # can be large: about 7**n for lucas-cobalancing
+    if g > 1:
+        w = [v // g for v in w]
     total = sum(w)
     if total == 0:
         raise SolverError(
@@ -275,8 +279,8 @@ def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
 
     P is its int numerators A over ``m.den``, so P**n = A**n / den**n.
     A**n comes from square-and-multiply on plain ints (O(log n) sparse
-    products, no gcd per cell), and the matrix normaliser divides A**n and
-    den**n by their gcd once.
+    products, no gcd per cell), and ``StochasticMatrix._lowest_terms``
+    divides A**n and den**n by their gcd once.
     """
     _require_int("exponent", n, 1)
     base = [list(cells.items()) for cells in m.numerators]
@@ -289,7 +293,7 @@ def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
         if e:
             base = _int_mul(base, base)
     label = f"pow({m.label},{n})" if m.label else ""
-    return StochasticMatrix._new(m.n, m.den**n, result, label)
+    return StochasticMatrix._lowest_terms(m.n, m.den**n, result, label)
 
 
 def simulate(

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 from math import lcm
@@ -448,3 +449,58 @@ def test_validate_reports_are_equal_on_both_stores():
     )
     for m in cases:
         assert validate(m) == validate(StochasticMatrix.from_rows(m.rows()))
+
+
+def dense_csv(m):
+    """The dense serialisers the sparse writer replaced: one str() per cell."""
+    return "\n".join(",".join(row) for row in frac_rows(m))
+
+
+def dense_json(m):
+    return json.dumps({"n": m.n, "family": m.label, "rows": frac_rows(m)})
+
+
+@given(square_rows, st.text(max_size=4))
+def test_sparse_writer_matches_the_dense_oracle_and_round_trips(rows, label):
+    m = StochasticMatrix.from_rows(rows, label=label)
+    assert matrix_to_csv(m) == dense_csv(m)
+    assert matrix_to_json(m) == dense_json(m)
+    restored = matrix_from_json(matrix_to_json(m))
+    assert restored == m
+    assert restored.label == label
+
+
+zero_spellings = st.sampled_from([0, "0", "0/7", "-0", "0.00"])
+
+
+@given(square_rows, st.data())
+def test_every_spelling_of_zero_reads_like_dense_rows(rows, data):
+    cells = [
+        [data.draw(zero_spellings) if not x else str(x) for x in row] for row in rows
+    ]
+    payload = json.dumps({"n": len(rows), "rows": cells})
+    m = matrix_from_json(payload)
+    assert m == StochasticMatrix.from_rows([[R(c) for c in row] for row in cells])
+    assert m.nonzero_count() == sum(1 for row in rows for x in row if x)
+
+
+@given(
+    st.integers(1, 20),
+    st.data(),
+    st.sampled_from([0.0, 0.5, True, False, None, "1/0", "x"]),
+)
+def test_first_bad_cell_after_zeros_raises(n, data, bad):
+    # everything before the bad cell is written zeros; a second bad cell
+    # after it must not be the one reported
+    k = data.draw(st.integers(0, n * n - 1))
+    flat = ["0"] * (n * n)
+    flat[k] = bad
+    if k + 1 < n * n:
+        flat[-1] = "1/0" if bad != "1/0" else 0.25
+    payload = json.dumps({"n": n, "rows": [flat[i * n:(i + 1) * n] for i in range(n)]})
+    message = (
+        f"matrix cell {bad!r} is neither an integer nor a string holding an "
+        'exact number like "1/6"'
+    )
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        matrix_from_json(payload)

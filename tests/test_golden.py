@@ -38,7 +38,12 @@ PARAMS = {
     "balancing-like": ("--a", "4"),
     "balancing-like-q": ("--a", "4", "--q", "1/5"),
 }
-MATRIX_FILE = "{matrix_file}"
+# placeholders for matrix files written by ``chain ... --format json --out``;
+# the second is the benchmark's round-trip size
+MATRIX_FILES = {
+    "{matrix_file}": ("lucas-cobalancing", "--n", "6"),
+    "{matrix_file_150}": ("truncated-infinite-q", "--n", "150", "--q", "1/12"),
+}
 
 
 def _cases() -> list[tuple[str, ...]]:
@@ -56,7 +61,10 @@ def _cases() -> list[tuple[str, ...]]:
         cases.append(("verify", kind, "--max-n", "9", *extra))
     for method in ("exact", "power", "simulate"):
         steps = ("--steps", "2000") if method == "simulate" else ()
-        cases.append(("solve", "--matrix-file", MATRIX_FILE, "--method", method, *steps))
+        cases.append(("solve", "--matrix-file", "{matrix_file}", "--method", method, *steps))
+    for fmt in ("csv", "json"):
+        cases.append(("chain", *MATRIX_FILES["{matrix_file_150}"], "--format", fmt))
+    cases.append(("solve", "--matrix-file", "{matrix_file_150}", "--format", "json"))
     cases += [
         ("verify", "--all", "--max-n", "12", "--format", "json"),
         ("verify", "--all", "--max-n", "6"),
@@ -106,8 +114,8 @@ def default_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def run(argv: tuple[str, ...], matrix_file: str) -> tuple[int, str]:
-    argv = [matrix_file if a == MATRIX_FILE else a for a in argv]
+def run(argv: tuple[str, ...], matrix_files: dict[str, str]) -> tuple[int, str]:
+    argv = [matrix_files.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), default_int_digits():
         code = main(argv)
@@ -115,12 +123,18 @@ def run(argv: tuple[str, ...], matrix_file: str) -> tuple[int, str]:
     return code, digest
 
 
+def write_matrix_files(directory: Path) -> dict[str, str]:
+    paths = {}
+    for i, (placeholder, chain) in enumerate(MATRIX_FILES.items()):
+        paths[placeholder] = path = str(directory / f"chain{i}.json")
+        with redirect_stdout(io.StringIO()):
+            assert main(["chain", *chain, "--format", "json", "--out", path]) == 0
+    return paths
+
+
 @pytest.fixture(scope="module")
-def matrix_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "chain.json"
-    with redirect_stdout(io.StringIO()):
-        assert main(["chain", "lucas-cobalancing", "--n", "6", "--format", "json", "--out", str(path)]) == 0
-    return str(path)
+def matrix_files(tmp_path_factory):
+    return write_matrix_files(tmp_path_factory.mktemp("golden"))
 
 
 GOLDEN = {
@@ -207,6 +221,9 @@ GOLDEN = {
     "solve --matrix-file {matrix_file} --method exact": (0, '77c215dcd55055cbf6034b32a4aad0415f6163212634a9baa0f592c3400815e1'),
     "solve --matrix-file {matrix_file} --method power": (0, '5567b54e35cc85a908e11d1944a325fac6664a18d250050d18f1eb21d6aa6ffa'),
     "solve --matrix-file {matrix_file} --method simulate --steps 2000": (0, '906b0cbc171b55dba5e7515da2503a7e217ebb18461a6dd22ea9c1c4b3c5a172'),
+    "chain truncated-infinite-q --n 150 --q 1/12 --format csv": (0, '116a89afc223a94753aed0ad9496c40df8f69985a3f60f05857c7004afd94559'),
+    "chain truncated-infinite-q --n 150 --q 1/12 --format json": (0, 'e0cd97f02b2f65f7f1f2c27da7f79848bbe1f72928330447cd86f9a71f92922b'),
+    "solve --matrix-file {matrix_file_150} --format json": (0, '632e6057ea47709723effe338fa8d7b0f28c59285b253e741d2ed1a3cc755007'),
     "verify --all --max-n 12 --format json": (0, 'e6bd2680677a652d0efb430098fa98227f167d2134e161603b67c904722cd40b'),
     "verify --all --max-n 6": (0, '80ce070df9230f27982e1b3652670533bc1aa220b748c4a416f8b0350b1c94a0'),
     "verify --beta-powers --max-n 20": (0, '15517dfe0d2e539ac5611d57d1a6acbd29521b01919aaa88160cbff8def8d0da'),
@@ -241,16 +258,14 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("argv", _cases(), ids=" ".join)
-def test_golden_output(argv, matrix_file):
-    assert run(argv, matrix_file) == GOLDEN[" ".join(argv)]
+def test_golden_output(argv, matrix_files):
+    assert run(argv, matrix_files) == GOLDEN[" ".join(argv)]
 
 
 def _capture() -> dict[str, tuple[int, str]]:
     with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "chain.json")
-        with redirect_stdout(io.StringIO()):
-            main(["chain", "lucas-cobalancing", "--n", "6", "--format", "json", "--out", path])
-        return {" ".join(argv): run(argv, path) for argv in _cases()}
+        paths = write_matrix_files(Path(tmp))
+        return {" ".join(argv): run(argv, paths) for argv in _cases()}
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,31 @@ def test_sqrt2_bounds():
         assert hi - lo == Fraction(1, 10**digits)
     with pytest.raises(ValueError):
         sqrt2_bounds(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        sqrt2_bounds,
+        lambda digits: enclosure(BETA, digits),
+        lambda digits: gap_bound(Fraction(1, 6), BETA, digits),
+        lambda digits: silver_ratio_gap(5, digits),
+    ],
+    ids=["sqrt2_bounds", "enclosure", "gap_bound", "silver_ratio_gap"],
+)
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        (0, "digits must be >= 1, got 0"),
+        (-3, "digits must be >= 1, got -3"),
+        (1.5, "digits must be an integer, got 1.5"),
+        (True, "digits must be an integer, got True"),
+        (None, "digits must be an integer, got None"),
+    ],
+)
+def test_digits_must_be_a_positive_int(call, digits, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(digits)
 
 
 def test_enclosure_brackets_the_value():
