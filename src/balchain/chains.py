@@ -21,6 +21,7 @@ read those ints, and walking a matrix is O(nnz).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -248,6 +249,17 @@ def balancing_like_chain_q(n: int, a: int, q: Fraction) -> ChainFamily:
     return ChainFamily("balancing-like-q", n, a, q)
 
 
+def _require_exact(cells: Iterable[object]) -> None:
+    """Raise ValueError at the first float or bool cell: a float is a
+    binary approximation, as it is for ``ChainFamily``'s q and for a JSON
+    matrix cell, and a bool is no number."""
+    for x in cells:
+        if isinstance(x, (float, bool)):
+            raise ValueError(
+                f"matrix cell {x!r} is a {type(x).__name__}; pass an int or a Fraction"
+            )
+
+
 class StochasticMatrix:
     """Square matrix of exact fractions, kept fraction-free: a denominator
     ``den``, the lcm of the reduced cells' denominators, and ``numerators``,
@@ -261,17 +273,20 @@ class StochasticMatrix:
     def from_rows(
         cls, rows: list[list[Fraction]], label: str = ""
     ) -> "StochasticMatrix":
-        """Matrix from dense rows."""
+        """Matrix from dense rows of exact numbers (ints, Fractions)."""
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
+        _require_exact(x for row in rows for x in row)
         return cls._exact(n, [enumerate(row) for row in rows], label)
 
     @classmethod
     def from_cells(
         cls, n: int, cells: dict[tuple[int, int], Fraction], label: str = ""
     ) -> "StochasticMatrix":
-        """Size-n matrix from a ``{(i, j): value}`` map; absent cells are 0."""
+        """Size-n matrix from a ``{(i, j): value}`` map of exact numbers;
+        absent cells are 0."""
+        _require_exact(cells.values())
         rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
         for (i, j), x in cells.items():
             if not (0 <= i < n and 0 <= j < n):
@@ -523,10 +538,27 @@ def matrix_to_json(m: StochasticMatrix) -> str:
     return f'{{"n": {m.n}, "family": {json.dumps(m.label)}, "rows": [{rows}]}}'
 
 
+# Fraction turns a cell string's decimal exponent into 10**exponent, even
+# for a zero: "0e4000000" takes about 2 s.  A magnitude past this budget
+# is rejected unparsed; 10**1000 costs some 10 us.
+_MAX_EXPONENT = 1000
+
+
 def _parse_cell(cell: object) -> Fraction:
     if type(cell) is int:
         return Fraction(cell)
     if isinstance(cell, str):
+        # a string that is no number at all is left for Fraction to reject;
+        # the length test keeps int() off a digit string past its own limit
+        exponent = cell.lower().partition("e")[2].strip().lstrip("+-")
+        digits = exponent.replace("_", "").lstrip("0")
+        if digits.isdecimal() and (
+            len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT
+        ):
+            raise ParameterError(
+                f"matrix cell {cell!r} has a decimal exponent past "
+                f"+-{_MAX_EXPONENT}"
+            )
         try:
             return Fraction(cell)
         except (ValueError, ZeroDivisionError):

@@ -167,18 +167,41 @@ def _decimal_terms(kind: SequenceKind, count: int) -> list[str]:
     quadratic.  The interpreter's int-to-str limit still applies: the first
     term with more digits than ``sys.get_int_max_str_digits()`` (0 or
     absent means no limit) is converted with ``str(int)``, which raises the
-    interpreter's own ``ValueError``, and no later term is computed.
+    interpreter's own ``ValueError``, and no later term is computed.  When
+    ``_passes_limit`` finds such a term beforehand, no term is formatted.
     """
+    _require_int("count", count, 0)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     r = kind.recurrence
+    doomed = limit > 0 and _passes_limit(kind, count, limit)
     out: list[str] = []
     with localcontext(_EXACT):
         for x in _recurrence(r, count, Decimal(r.x0), Decimal(r.x1)):
             # adjusted() is the digit count less one, whatever the sign
             if limit and x.adjusted() >= limit:
                 str(int(x))  # raises the interpreter's own ValueError
-            out.append(str(x))
+            if not doomed:
+                out.append(str(x))
     return out
+
+
+def _passes_limit(kind: SequenceKind, count: int, limit: int) -> bool:
+    """Whether one of the terms at indices 1, 2, 4, ... below ``count - 1``
+    and at ``count - 1`` has more than ``limit`` digits, each by ``term``.
+
+    True means a term below ``count`` is past the limit.  False rules one
+    out for a sequence whose magnitudes never fall, as for every named
+    kind; the probes stop at the first term past the limit, so none has
+    many more digits than the limit, and a sequence that stays below it
+    has small terms.
+    """
+    bound = 10**limit
+    index = 1
+    while index < count - 1:
+        if abs(term(kind, index)) >= bound:
+            return True
+        index *= 2
+    return count > 0 and abs(term(kind, count - 1)) >= bound
 
 
 def integer_sqrt(n: int) -> tuple[int, bool]:

@@ -274,13 +274,95 @@ def _int_mul(x: _IntRows, y: _IntRows) -> _IntRows:
     return out
 
 
+def _packed_mul(x: _IntRows, y: _IntRows, bound: int) -> _IntRows:
+    """``_int_mul(x, y)`` by Kronecker substitution, for a ``bound`` on
+    the magnitude of every cell of y and of the product.
+
+    Row k of y becomes one int with cell j at bit s*j, for a slot width
+    s of whole bytes with bound < 2**(s-1).  Row i of the product is then
+    sum(x[i][k] * packed[k]): one C-level big-int multiply-add per nonzero
+    of x.  Adding half a slot, 2**(s-1), to every slot up to the row's top
+    nonzero one leaves each slot in 1..2**s - 1 with no carry, so one
+    ``to_bytes`` lays the cells out, and each reads back as its slot less
+    the half.  Rows of y are packed the same way, biased and then
+    unbiased.  (D. Harvey, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009;
+    R. P. Brent and P. Zimmermann, Modern Computer Arithmetic, 2010,
+    section 1.9.)
+    """
+    n = len(y)
+    w = bound.bit_length() // 8 + 1
+    s = 8 * w
+    half = 1 << (s - 1)
+    zero = half.to_bytes(w, "little")
+    bias = int.from_bytes(zero * n, "little")
+    packed = []
+    for row in y:
+        chunks = [zero] * n
+        for j, v in row:
+            chunks[j] = (v + half).to_bytes(w, "little")
+        packed.append(int.from_bytes(b"".join(chunks), "little") - bias)
+    from_bytes = int.from_bytes
+    out = []
+    for xi in x:
+        r = sum([a * packed[k] for k, a in xi])
+        # a nonzero |r| lies in [2**(s*top - 1), 2**(s*top + s - 1)), top
+        # its highest nonzero slot, as every cell is below half in magnitude
+        top = abs(r).bit_length() // s
+        size = w * (top + 1)
+        data = (r + (bias >> (s * (n - 1 - top)))).to_bytes(size, "little")
+        slots = [from_bytes(data[o : o + w], "little") for o in range(0, size, w)]
+        out.append([(j, v - half) for j, v in enumerate(slots) if v != half])
+    return out
+
+
+# A product goes packed when _int_mul's multiply-adds (the sum of len(y[k])
+# over the nonzeros of x) exceed _PACK_RATIO times the packed route's
+# Python-level steps, about nnz(x) + n**2 (a multiply-add per nonzero of
+# x, a decoded slot per cell); each costs some 50-100 ns either way.  The
+# packed route also does more digit work, since a slot holds a product
+# and so is about twice as wide as the factors' entries.  Up to
+# _PACK_BITS that is noise; above it the ratio needed grows in proportion
+# to the entries' bit length.  Dense squarings of random entries break
+# even near 100 bits at n = 8, 150 at n = 12, 300 at n = 24 and 400 at
+# n = 50, and the rule packs them from n = 9 up to 8*n bits, below each
+# of those.  Past _PACK_MAX_BITS the packed route is the slower one even
+# at n = 100 (about 1.1x at 512 bits), and about 1.3x at balancing(12),
+# k = 1000, whose last product has 1300-bit entries.
+_PACK_RATIO = 4
+_PACK_BITS = 64
+_PACK_MAX_BITS = 384
+
+
+def _mul(x: _IntRows, y: _IntRows) -> _IntRows:
+    """``x * y`` by whichever of ``_int_mul`` and ``_packed_mul`` the
+    factors' counts and entry bit lengths favour; the counts are taken
+    cheapest first."""
+    n = len(y)
+    nnz = sum(map(len, x))
+    slots = _PACK_RATIO * (nnz + n * n)
+    if nnz * max(map(len, y)) > slots:
+        lengths = [len(row) for row in y]
+        work = sum([lengths[k] for xi in x for k, _ in xi])
+        if work > slots:
+            top_x = max([abs(v) for xi in x for _, v in xi])
+            top_y = top_x if x is y else max([abs(v) for row in y for _, v in row])
+            bits = max(top_x, top_y).bit_length()
+            if bits <= _PACK_MAX_BITS and work * _PACK_BITS > slots * max(bits, _PACK_BITS):
+                return _packed_mul(x, y, max(map(len, x)) * top_x * top_y)
+    return _int_mul(x, y)
+
+
 def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
     """Exact n-th matrix power; rows stay stochastic.
 
     P is its int numerators A over ``m.den``, so P**n = A**n / den**n.
-    A**n comes from square-and-multiply on plain ints (O(log n) sparse
-    products, no gcd per cell), and ``StochasticMatrix._lowest_terms``
-    divides A**n and den**n by their gcd once.
+    A**n comes from square-and-multiply on plain ints (O(log n) products,
+    no gcd per cell), and ``StochasticMatrix._lowest_terms`` divides A**n
+    and den**n by their gcd once.  Each product takes one of two routes
+    (``_mul``): a sparse one that costs nothing for zero cells, which the
+    band's early squarings take, and a packed one that does a whole row in
+    a few big-int products, which the dense later ones take.
     """
     _require_int("exponent", n, 1)
     base = [list(cells.items()) for cells in m.numerators]
@@ -288,10 +370,10 @@ def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
     e = n
     while e:
         if e & 1:
-            result = base if result is None else _int_mul(result, base)
+            result = base if result is None else _mul(result, base)
         e >>= 1
         if e:
-            base = _int_mul(base, base)
+            base = _mul(base, base)
     label = f"pow({m.label},{n})" if m.label else ""
     return StochasticMatrix._lowest_terms(m.n, m.den**n, result, label)
 

@@ -504,3 +504,33 @@ def test_first_bad_cell_after_zeros_raises(n, data, bad):
     )
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         matrix_from_json(payload)
+
+
+@pytest.mark.parametrize("cell", ["1e0", "0.5", "1e1000", "3E-1000", "-2.5e+3", " 1_0e0_2 "])
+def test_cells_within_the_exponent_budget_parse(cell):
+    payload = json.dumps({"n": 1, "rows": [[cell]]})
+    assert matrix_from_json(payload).entry(0, 0) == R(cell)
+
+
+@pytest.mark.parametrize(
+    "cell", ["0e1001", "1e-1001", "1E+5000", "0e4000000", "1e" + "9" * 5000, "1e0_000_001_001"]
+)
+def test_cell_exponent_past_the_budget_is_rejected_before_parsing(cell):
+    # before, Fraction computed 10**exponent: "0e4000000" took about 2 s
+    # and read as a zero cell
+    payload = json.dumps({"n": 1, "rows": [[cell]]})
+    with pytest.raises(ParameterError, match=r"has a decimal exponent past \+-1000$"):
+        matrix_from_json(payload)
+
+
+@pytest.mark.parametrize("cell", [0.1, 0.5, 0.0, 1.0, True, False])
+@pytest.mark.parametrize("constructor", ["from_rows", "from_cells"])
+def test_constructors_reject_float_and_bool_cells(constructor, cell):
+    # before, from_rows([[0.1, 0.9], [0.5, 0.5]]) stored den = 2**55
+    rows = [[cell, R(1, 2)], [R(1, 2), R(1, 2)]]
+    cells = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+    with pytest.raises(ValueError, match=rf"^matrix cell {cell!r} is a {type(cell).__name__}; "):
+        if constructor == "from_rows":
+            StochasticMatrix.from_rows(rows)
+        else:
+            StochasticMatrix.from_cells(2, cells)

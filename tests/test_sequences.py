@@ -12,6 +12,7 @@ from balchain.sequences import (
     RecurrenceSpec,
     SequenceKind,
     _decimal_terms,
+    _passes_limit,
     balancing_like,
     balancing_matrix_power,
     check_pell_links,
@@ -153,6 +154,17 @@ def test_negative_index_rejected():
         sequence(BALANCING, -1)
     with pytest.raises(ValueError):
         _decimal_terms(BALANCING, -1)
+
+
+@pytest.mark.parametrize("kind", [*NAMED_KINDS.values(), balancing_like(3)], ids=lambda k: k.name)
+def test_passes_limit_finds_a_term_past_the_limit_when_one_exists(kind):
+    # the probe that lets seq format nothing when it will raise
+    limit = 640
+    bound = 10**limit
+    first = next(i for i, x in enumerate(sequence(kind, 4000)) if abs(x) >= bound)
+    for count in (0, 1, 2, 3, first - 1, first, first + 1, first + 2, 2 * first, 10**9):
+        assert _passes_limit(kind, count, limit) == (count > first)
+    assert not _passes_limit(balancing_like(2), 10**9, limit)
 
 
 def test_named_kind_registry():

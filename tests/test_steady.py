@@ -365,6 +365,78 @@ def test_n_step_64_of_every_kind_equals_repeated_products(kind):
     assert n_step(m, 64).rows() == naive_power(m, 64)
 
 
+# magnitudes on both sides of a byte boundary of the slot width: 2**(8w-1)
+# is the first that a slot of w bytes cannot hold below its half
+half_slots = st.builds(lambda w, d: 2 ** (8 * w - 1) + d, st.integers(1, 3), st.integers(-1, 1))
+int_cells = st.one_of(
+    st.just(0), st.integers(-3, 3), half_slots, half_slots.map(lambda v: -v)
+)
+
+
+@st.composite
+def int_factors(draw):
+    n = draw(st.integers(1, 7))
+
+    def rows():
+        dense = draw(st.lists(st.lists(int_cells, min_size=n, max_size=n), min_size=n, max_size=n))
+        return [[(j, v) for j, v in enumerate(row) if v] for row in dense]
+
+    return rows(), rows()
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_factors(), st.booleans())
+@example(([[]], [[]]), True)
+@example(([[(0, 1)]], [[(0, 127)]]), True)
+@example(([[(0, 1)]], [[(0, -128)]]), True)
+@example(([[(0, -1), (1, 1)], []], [[(1, 2**15 - 1)], [(1, -1)]]), True)
+# the row 2**s - 1 (cells -1, 1): its bit length s is where its top slot starts
+@example(([[(0, 1)], []], [[(0, -1), (1, 1)], []]), True)
+def test_packed_product_equals_the_sparse_one(factors, tight):
+    x, y = factors
+    expected = steady._int_mul(x, y)
+    top_x = max((abs(v) for row in x for _, v in row), default=0)
+    top_y = max((abs(v) for row in y for _, v in row), default=0)
+    if tight:  # the least valid bound: the product's largest magnitude
+        bound = max((abs(v) for row in expected for _, v in row), default=0)
+    else:  # the bound _mul passes
+        bound = max(map(len, x)) * top_x * top_y
+    # the slots hold y's cells too, as _mul's bound does unless x is zero
+    assert steady._packed_mul(x, y, max(bound, top_y)) == expected
+    assert steady._mul(x, y) == expected
+
+
+def record_routes(monkeypatch):
+    """The product routes n_step takes, in call order."""
+    routes = []
+    for name in ("_int_mul", "_packed_mul"):
+        inner = getattr(steady, name)
+        monkeypatch.setattr(
+            steady, name, lambda *a, inner=inner, name=name: routes.append(name) or inner(*a)
+        )
+    return routes
+
+
+def test_n_step_on_a_dense_matrix_takes_the_packed_route(monkeypatch):
+    n = 12
+    weights = [[1 + (7 * i + 3 * j) % 5 for j in range(n)] for i in range(n)]
+    m = StochasticMatrix.from_rows([[R(w, sum(row)) for w in row] for row in weights])
+    routes = record_routes(monkeypatch)
+    assert n_step(m, 5).rows() == naive_power(m, 5)
+    assert "_packed_mul" in routes
+
+
+def test_n_step_takes_the_sparse_route_first_and_the_packed_route_last(monkeypatch):
+    # the band fills the matrix after some log2(n) squarings
+    m = build(lucas_chain(50))
+    monkeypatch.setattr(steady, "_PACK_RATIO", 10**9)
+    sparse_only = n_step(m, 64)
+    monkeypatch.undo()
+    routes = record_routes(monkeypatch)
+    assert n_step(m, 64) == sparse_only
+    assert routes == ["_int_mul"] * 4 + ["_packed_mul"] * 2
+
+
 def test_simulate_is_deterministic():
     m = build(balancing_chain(4))
     first = simulate(m, steps=2000, seed=7)
