@@ -21,7 +21,6 @@ read those ints, and walking a matrix is O(nnz).
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -56,7 +55,38 @@ _ZERO = Fraction(0)
 
 
 class ParameterError(ValueError):
-    """A family parameter is outside its documented bounds."""
+    """A family parameter or an input value is outside its documented bounds."""
+
+
+# Fraction turns a string's decimal exponent into 10**exponent, even for a
+# zero: "0e4000000" takes about 2 s.  A magnitude past this budget is
+# rejected unparsed; 10**1000 costs some 10 us.
+_MAX_EXPONENT = 1000
+
+
+def _exact_number(value: object, subject: str) -> Fraction:
+    """The one rule for an exact number: an int (not a bool), a Fraction,
+    or a string that ``Fraction`` parses with a decimal exponent within
+    +-_MAX_EXPONENT, returned as a Fraction.  Anything else (a float is a
+    binary approximation) raises ParameterError "<subject> <value!r>: why".
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ParameterError(
+            f'{subject} {value!r}: an exact number is an int, a Fraction or a string like "1/6"'
+        )
+    # the length test keeps int() off a digit string past its own limit
+    exponent = value.lower().partition("e")[2].strip().lstrip("+-")
+    digits = exponent.replace("_", "").lstrip("0")
+    if digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT):
+        raise ParameterError(f"{subject} {value!r}: decimal exponent past +-{_MAX_EXPONENT}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"{subject} {value!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -67,7 +97,7 @@ class ChainFamily:
     family that reaches ``build`` is valid: an unknown kind, an n below the
     minimum, a missing or out-of-range a or q, and an a or q the kind does
     not take all raise ParameterError.  So do an n or a that is not an int
-    (bool included) and a float q, which is a binary approximation.
+    (bool included) and a q that is not an exact number (``_exact_number``).
     """
 
     kind: str
@@ -98,12 +128,8 @@ class ChainFamily:
                 raise ParameterError(f"{kind} takes no step probability q, got {q}")
         elif q is None:
             raise ParameterError(f"{kind} needs the step probability q")
-        elif isinstance(q, float):
-            raise ParameterError(
-                f"{kind} needs an exact q, got the float {q!r}; pass a Fraction"
-            )
         else:
-            q = Fraction(q)
+            q = _exact_number(q, f"{kind} needs an exact q, got")
             if not 0 < q <= Fraction(1, self.coeff):
                 raise ParameterError(f"{kind} needs 0 < q <= 1/{self.coeff}, got {q}")
             object.__setattr__(self, "q", q)
@@ -249,17 +275,6 @@ def balancing_like_chain_q(n: int, a: int, q: Fraction) -> ChainFamily:
     return ChainFamily("balancing-like-q", n, a, q)
 
 
-def _require_exact(cells: Iterable[object]) -> None:
-    """Raise ValueError at the first float or bool cell: a float is a
-    binary approximation, as it is for ``ChainFamily``'s q and for a JSON
-    matrix cell, and a bool is no number."""
-    for x in cells:
-        if isinstance(x, (float, bool)):
-            raise ValueError(
-                f"matrix cell {x!r} is a {type(x).__name__}; pass an int or a Fraction"
-            )
-
-
 class StochasticMatrix:
     """Square matrix of exact fractions, kept fraction-free: a denominator
     ``den``, the lcm of the reduced cells' denominators, and ``numerators``,
@@ -273,22 +288,22 @@ class StochasticMatrix:
     def from_rows(
         cls, rows: list[list[Fraction]], label: str = ""
     ) -> "StochasticMatrix":
-        """Matrix from dense rows of exact numbers (ints, Fractions)."""
+        """Matrix from dense rows of exact numbers (``_exact_number``)."""
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        _require_exact(x for row in rows for x in row)
-        return cls._exact(n, [enumerate(row) for row in rows], label)
+        cells = [[(j, _exact_number(x, "matrix cell")) for j, x in enumerate(row)] for row in rows]
+        return cls._exact(n, cells, label)
 
     @classmethod
     def from_cells(
         cls, n: int, cells: dict[tuple[int, int], Fraction], label: str = ""
     ) -> "StochasticMatrix":
-        """Size-n matrix from a ``{(i, j): value}`` map of exact numbers;
-        absent cells are 0."""
-        _require_exact(cells.values())
+        """Size-n matrix from a ``{(i, j): value}`` map of exact numbers
+        (``_exact_number``); absent cells are 0."""
         rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
         for (i, j), x in cells.items():
+            x = _exact_number(x, "matrix cell")
             if not (0 <= i < n and 0 <= j < n):
                 raise IndexError(f"cell ({i}, {j}) outside {n}x{n} matrix")
             rows[i].append((j, x))
@@ -296,16 +311,14 @@ class StochasticMatrix:
 
     @classmethod
     def _exact(cls, n: int, rows: list, label: str) -> "StochasticMatrix":
-        """Rows of ``(j, exact number)`` pairs in column order, zeros
-        dropped and put over ``den``, the lcm of the reduced denominators.
+        """Rows of ``(j, Fraction)`` pairs in column order, zeros dropped
+        and put over ``den``, the lcm of the reduced denominators.
 
         That is already in lowest terms: if p**e exactly divides ``den``,
         it divides some cell's denominator, so p does not divide that
         cell's numerator times ``den // denominator``.  No gcd is needed.
         """
-        rows = [
-            [(j, x if type(x) is Fraction else Fraction(x)) for j, x in row if x] for row in rows
-        ]
+        rows = [[(j, x) for j, x in row if x] for row in rows]
         den = lcm(*{x.denominator for row in rows for _, x in row})
         ints = [{j: x.numerator * (den // x.denominator) for j, x in row} for row in rows]
         return cls._new(n, den, ints, label)
@@ -538,43 +551,11 @@ def matrix_to_json(m: StochasticMatrix) -> str:
     return f'{{"n": {m.n}, "family": {json.dumps(m.label)}, "rows": [{rows}]}}'
 
 
-# Fraction turns a cell string's decimal exponent into 10**exponent, even
-# for a zero: "0e4000000" takes about 2 s.  A magnitude past this budget
-# is rejected unparsed; 10**1000 costs some 10 us.
-_MAX_EXPONENT = 1000
-
-
-def _parse_cell(cell: object) -> Fraction:
-    if type(cell) is int:
-        return Fraction(cell)
-    if isinstance(cell, str):
-        # a string that is no number at all is left for Fraction to reject;
-        # the length test keeps int() off a digit string past its own limit
-        exponent = cell.lower().partition("e")[2].strip().lstrip("+-")
-        digits = exponent.replace("_", "").lstrip("0")
-        if digits.isdecimal() and (
-            len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT
-        ):
-            raise ParameterError(
-                f"matrix cell {cell!r} has a decimal exponent past "
-                f"+-{_MAX_EXPONENT}"
-            )
-        try:
-            return Fraction(cell)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ParameterError(
-        f"matrix cell {cell!r} is neither an integer nor a string holding an "
-        "exact number like \"1/6\""
-    )
-
-
 def matrix_from_json(text: str) -> StochasticMatrix:
     """Read a ``matrix_to_json`` payload: ``{"n": n, "rows": [[cell, ...], ...]}``.
 
-    A cell is a JSON integer or a string that parses as an exact fraction
-    ("num/den", an integer or a decimal).  JSON floats are rejected because
-    they are binary approximations; every malformed payload raises
+    A cell is an exact number (``_exact_number``): a JSON integer or a
+    string such as "1/6", "-2" or "0.25"; every malformed payload raises
     ParameterError.  Each distinct cell string is parsed once per call, a
     "0" not at all, and only the nonzero cells reach the exact store.
     """
@@ -603,9 +584,9 @@ def matrix_from_json(text: str) -> StochasticMatrix:
             if type(cell) is str:
                 value = parsed.get(cell)
                 if value is None:
-                    value = parsed[cell] = _parse_cell(cell)
+                    value = parsed[cell] = _exact_number(cell, "matrix cell")
             else:
-                value = _parse_cell(cell)
+                value = _exact_number(cell, "matrix cell")
             cells.append((j, value))
         sparse.append(cells)
     return StochasticMatrix._exact(n, sparse, label)

@@ -20,6 +20,7 @@ from .chains import (
     ChainFamily,
     ParameterError,
     StochasticMatrix,
+    _exact_number,
     build,
     matrix_from_json,
     matrix_to_csv,
@@ -202,13 +203,6 @@ def _scope(args: argparse.Namespace, name: str) -> tuple[str, int | None]:
     return selector, max_n
 
 
-def _parse_q(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse fraction {text!r}: {exc}") from None
-
-
 def _make_family(kind: str, n: int | None, a: int | None, q: str | None) -> ChainFamily:
     if n is None:
         raise UsageError(f"family {kind} requires --n")
@@ -217,7 +211,9 @@ def _make_family(kind: str, n: int | None, a: int | None, q: str | None) -> Chai
         raise UsageError(f"family {kind} requires --a")
     if spec.takes_q and q is None:
         raise UsageError(f"family {kind} requires --q")
-    return ChainFamily(kind, n, a, None if q is None else _parse_q(q))
+    if q is not None:
+        q = _exact_number(q, "cannot parse fraction")
+    return ChainFamily(kind, n, a, q)
 
 
 def _cmd_seq(args: argparse.Namespace) -> tuple[str, int]:

@@ -115,8 +115,7 @@ def infinite_steady_state(count: int) -> list[QuadInt]:
     Entry i is BETA**i - BETA**(i+1); the partial sums telescope, so
     1 - sum(entries) == BETA**count exactly.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _require_int("count", count, 1)
     out: list[QuadInt] = []
     power = ONE
     for _ in range(count):

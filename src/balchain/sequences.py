@@ -59,11 +59,12 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _require_int(name: str, value: object, least: int) -> None:
-    """Raise ValueError unless ``value`` is an int, not a bool, >= ``least``."""
+def _require_int(name: str, value: object, least: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, and
+    >= ``least`` when that is given."""
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 

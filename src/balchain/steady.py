@@ -23,10 +23,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import gcd, inf
+from numbers import Real
 from operator import mul
 
 from .chains import StochasticMatrix
-from .sequences import _is_int, _require_int
+from .sequences import _require_int
 
 __all__ = [
     "SolverError",
@@ -179,8 +180,8 @@ def power_iteration(
     same order, so every iterate, the iteration count and a
     ConvergenceError's vector are bit-identical to the loop's.
     """
-    if not 0 < tol < inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not isinstance(tol, Real) or isinstance(tol, bool) or not 0 < tol < inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     _require_int("max_iter", max_iter, 1)
     n, den = m.n, m.den
     # v / den is float(Fraction(v, den)): one correctly rounded division
@@ -382,12 +383,10 @@ def simulate(
     m: StochasticMatrix, steps: int, seed: int, start: int = 0
 ) -> SimulationResult:
     """Run one seeded trajectory and count visits after each transition."""
-    for name, value in (("steps", steps), ("seed", seed), ("start", start)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _require_int("steps", steps, 1)
+    _require_int("seed", seed)
+    _require_int("start", start)
     n, den = m.n, m.den
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0 <= start < n:
         raise ValueError(f"start state {start} outside 0..{n - 1}")
     targets = []

@@ -29,6 +29,7 @@ from .sequences import (
     SequenceKind,
     _is_int,
     _recurrence,
+    _require_int,
     sequence,
     term,
 )
@@ -127,13 +128,14 @@ def q_invariance(
     if not q_values:
         raise ParameterError("q_invariance needs at least one q")
     base_vector = solve_exact(build(ChainFamily(kind, base_n, a)))
-    vectors = [solve_exact(build(ChainFamily(q_kind, base_n, a, q))) for q in q_values]
+    families = [ChainFamily(q_kind, base_n, a, q) for q in q_values]
+    vectors = [solve_exact(build(f)) for f in families]
     identical = all(v == vectors[0] for v in vectors)
     return QInvarianceReport(
         kind=kind,
         n=base_n,
         a=a,
-        q_values=[Fraction(q) for q in q_values],
+        q_values=[f.q for f in families],
         identical=identical,
         matches_base=identical and vectors[0] == base_vector,
         vector=base_vector,
@@ -176,8 +178,7 @@ def truncation_convergence(sizes: list[int], digits: int = 50) -> list[tuple[int
 
 def infinite_recursion_identity(i: int) -> bool:
     """Exact ring check: BETA**i - BETA**(i+1) == (B[i+1]-B[i])*(1-BETA) - 4*B[i]."""
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
+    _require_int("index", i, 1)
     lhs = BETA**i - BETA ** (i + 1)
     b_i = term(BALANCING, i)
     b_next = term(BALANCING, i + 1)
@@ -192,6 +193,8 @@ def unnormalized_recursion_check(n: int, count: int, digits: int = 50) -> bool:
     truncated solution is bounded by its per-entry distance to the limit;
     the comparison uses those certified bounds, nothing looser.
     """
+    _require_int("n", n)
+    _require_int("count", count)
     head = min(n, _HEAD)
     if not 1 <= count <= head - 1:
         raise ValueError(f"count must be in 1..{head - 1}, got {count}")

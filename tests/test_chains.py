@@ -1,5 +1,6 @@
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -31,6 +32,9 @@ from balchain.chains import (
 )
 from balchain.cli import _make_family, main
 from balchain.steady import _solve_gauss, solve_exact
+
+NOT_EXACT = 'an exact number is an int, a Fraction or a string like "1/6"'
+BUDGET = "decimal exponent past +-1000"
 
 R = Fraction
 
@@ -251,14 +255,16 @@ def test_direct_chain_family_gets_the_constructor_checks(kind, n, a, q):
         ("balancing", True, None, None, "balancing needs an integer n, got True"),
         ("balancing-like", 5, 4.5, None, "balancing-like needs an integer a, got 4.5"),
         ("balancing-like-q", 5, True, R(1, 7), "balancing-like-q needs an integer a, got True"),
-        ("balancing-q", 5, None, 0.1, "balancing-q needs an exact q, got the float 0.1"),
-        ("lucas-q", 5, None, 0.125, "lucas-q needs an exact q, got the float 0.125"),
+        ("balancing-q", 5, None, 0.1, f"balancing-q needs an exact q, got 0.1: {NOT_EXACT}"),
+        ("lucas-q", 5, None, 0.125, f"lucas-q needs an exact q, got 0.125: {NOT_EXACT}"),
+        ("lucas-q", 5, None, Decimal("0.1"), f"lucas-q needs an exact q, got Decimal('0.1'): {NOT_EXACT}"),
+        ("lucas-q", 5, None, True, f"lucas-q needs an exact q, got True: {NOT_EXACT}"),
     ],
 )
 def test_chain_family_rejects_inexact_parameters(kind, n, a, q, message):
     # before, a float n or a failed in build with a TypeError and a float q
     # kept its binary approximation
-    with pytest.raises(ParameterError, match=re.escape(message)):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         ChainFamily(kind, n, a, q)
 
 
@@ -498,10 +504,8 @@ def test_first_bad_cell_after_zeros_raises(n, data, bad):
     if k + 1 < n * n:
         flat[-1] = "1/0" if bad != "1/0" else 0.25
     payload = json.dumps({"n": n, "rows": [flat[i * n:(i + 1) * n] for i in range(n)]})
-    message = (
-        f"matrix cell {bad!r} is neither an integer nor a string holding an "
-        'exact number like "1/6"'
-    )
+    reason = {"1/0": "Fraction(1, 0)", "x": "Invalid literal for Fraction: 'x'"}.get(bad, NOT_EXACT)
+    message = f"matrix cell {bad!r}: {reason}"
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         matrix_from_json(payload)
 
@@ -519,18 +523,54 @@ def test_cell_exponent_past_the_budget_is_rejected_before_parsing(cell):
     # before, Fraction computed 10**exponent: "0e4000000" took about 2 s
     # and read as a zero cell
     payload = json.dumps({"n": 1, "rows": [[cell]]})
-    with pytest.raises(ParameterError, match=r"has a decimal exponent past \+-1000$"):
+    message = f"matrix cell {cell!r}: {BUDGET}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         matrix_from_json(payload)
 
 
-@pytest.mark.parametrize("cell", [0.1, 0.5, 0.0, 1.0, True, False])
+def from_constructor(constructor, rows):
+    if constructor == "from_rows":
+        return StochasticMatrix.from_rows(rows)
+    cells = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+    return StochasticMatrix.from_cells(len(rows), cells)
+
+
+@pytest.mark.parametrize("cell", [0.1, 0.5, 0.0, 1.0, True, False, None, Decimal("0.5")])
 @pytest.mark.parametrize("constructor", ["from_rows", "from_cells"])
 def test_constructors_reject_float_and_bool_cells(constructor, cell):
-    # before, from_rows([[0.1, 0.9], [0.5, 0.5]]) stored den = 2**55
+    # before, from_rows([[0.1, 0.9], [0.5, 0.5]]) stored den = 2**55; None
+    # and Decimal cells follow the same rule
     rows = [[cell, R(1, 2)], [R(1, 2), R(1, 2)]]
-    cells = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
-    with pytest.raises(ValueError, match=rf"^matrix cell {cell!r} is a {type(cell).__name__}; "):
-        if constructor == "from_rows":
-            StochasticMatrix.from_rows(rows)
-        else:
-            StochasticMatrix.from_cells(2, cells)
+    message = f"matrix cell {cell!r}: {NOT_EXACT}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_constructor(constructor, rows)
+
+
+@pytest.mark.parametrize("cell", ["0e1001", "1E+5000", "0e4000000", "1e" + "9" * 5000])
+@pytest.mark.parametrize("constructor", ["from_rows", "from_cells"])
+def test_constructors_reject_string_cells_past_the_exponent_budget(constructor, cell):
+    # before, from_rows([["0e400000", "1"], ["1", "0"]]) computed
+    # 10**400000 and was accepted after some 70 ms
+    rows = [[cell, "1"], ["1", "0"]]
+    message = f"matrix cell {cell!r}: {BUDGET}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_constructor(constructor, rows)
+
+
+@pytest.mark.parametrize("cell", ["1e0", "0.5", "1e1000", "3E-1000", "-2.5e+3", " 2e-1 "])
+@pytest.mark.parametrize("constructor", ["from_rows", "from_cells"])
+def test_constructor_string_cells_within_the_exponent_budget_parse(constructor, cell):
+    m = from_constructor(constructor, [[cell, "0"], ["0", "1"]])
+    assert m.entry(0, 0) == R(cell)
+
+
+@pytest.mark.parametrize("q", ["0e1001", "1e-1001", "0e4000000", "1e" + "9" * 5000])
+def test_chain_family_rejects_a_string_q_past_the_exponent_budget(q):
+    message = f"balancing-q needs an exact q, got {q!r}: {BUDGET}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        ChainFamily("balancing-q", 4, q=q)
+
+
+@pytest.mark.parametrize("q", ["1e-1", "0.125", "1E-1000", " 1.5E-01 "])
+def test_chain_family_string_q_within_the_exponent_budget_parses(q):
+    assert ChainFamily("balancing-q", 4, q=q).q == R(q)

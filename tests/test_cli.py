@@ -544,6 +544,23 @@ def test_flags_outside_the_chosen_mode_are_parameter_errors(capsys, tmp_path, ar
     assert error["message"].startswith(message)
 
 
+@pytest.mark.parametrize("q", ["0e4000000", "1e-1001", "1E+5000"])
+def test_q_past_the_exponent_budget_is_a_parameter_error(capsys, q):
+    # before, --q 0e4000000 computed 10**4000000 (about 2.8 s) and was then
+    # refused by the range check
+    code, out, err = run_cli(capsys, "solve", "balancing-q", "--n", "4", "--q", q)
+    assert (code, out) == (2, "")
+    message = f"cannot parse fraction {q!r}: decimal exponent past +-1000"
+    assert json.loads(err)["error"] == {"code": 2, "message": message}
+
+
+@pytest.mark.parametrize("q", ["1e-1", "0.125", "1E-1000", "1.5e-01"])
+def test_q_within_the_exponent_budget_parses(capsys, q):
+    code, out, _ = run_cli(capsys, "solve", "balancing-q", "--n", "4", "--q", q)
+    assert code == 0
+    assert out == run_cli(capsys, "solve", "balancing", "--n", "4")[1]
+
+
 def test_the_cached_parser_keeps_no_state_between_calls(capsys):
     assert _build_parser() is _build_parser()
     code, out, _ = run_cli(capsys, "seq", "balancing-like", "--a", "3", "--count", "4")

@@ -5,7 +5,25 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import balchain
+from balchain import (
+    BALANCING,
+    balancing_chain,
+    beta_power_row,
+    build,
+    infinite_recursion_identity,
+    infinite_steady_state,
+    n_step,
+    power_iteration,
+    sequence,
+    silver_ratio_gap,
+    simulate,
+    sqrt2_bounds,
+    term,
+    unnormalized_recursion_check,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("chains", "quadratic", "sequences", "steady", "verify")
@@ -36,3 +54,43 @@ def test_readme_library_sketch_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+M = build(balancing_chain(4))
+# each public int-taking argument, called with one value; every other
+# argument is small, so no value starts a large case
+INT_ARGUMENTS = {
+    "term": lambda v: term(BALANCING, v),
+    "sequence": lambda v: sequence(BALANCING, v),
+    "infinite_steady_state": infinite_steady_state,
+    "infinite_recursion_identity": infinite_recursion_identity,
+    "unnormalized_recursion_check.n": lambda v: unnormalized_recursion_check(v, 1),
+    "unnormalized_recursion_check.count": lambda v: unnormalized_recursion_check(10, v),
+    "n_step": lambda v: n_step(M, v),
+    "simulate.steps": lambda v: simulate(M, v, 1),
+    "simulate.seed": lambda v: simulate(M, 10, v),
+    "simulate.start": lambda v: simulate(M, 10, 1, v),
+    "power_iteration.max_iter": lambda v: power_iteration(M, max_iter=v),
+    "power_iteration.tol": lambda v: power_iteration(M, tol=v),
+    "sqrt2_bounds": sqrt2_bounds,
+    "silver_ratio_gap.n": silver_ratio_gap,
+    "silver_ratio_gap.digits": lambda v: silver_ratio_gap(5, v),
+    "beta_power_row": beta_power_row,
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, "3", -1, 0], ids=repr)
+@pytest.mark.parametrize("argument", INT_ARGUMENTS)
+def test_int_arguments_raise_only_value_error(argument, value):
+    # before, infinite_steady_state(2.5) raised a bare TypeError,
+    # infinite_steady_state(True) returned one entry and tol=True ran
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    takes_float = argument == "power_iteration.tol" and isinstance(value, float)
+    if is_int or takes_float:
+        try:
+            INT_ARGUMENTS[argument](value)
+        except ValueError:
+            pass
+    else:
+        with pytest.raises(ValueError):
+            INT_ARGUMENTS[argument](value)

@@ -216,6 +216,9 @@ def test_unnormalized_recursion_on_truncated_chain():
         unnormalized_recursion_check(20, 8)  # beyond the comparison window
     with pytest.raises(ValueError):
         unnormalized_recursion_check(20, 0)
+    # before, the message named count + 2, from the sequence call
+    with pytest.raises(ValueError, match=r"^count must be an integer, got 1\.5$"):
+        unnormalized_recursion_check(10, 1.5)
 
 
 def test_truncated_solution_tracks_infinite_entries():
