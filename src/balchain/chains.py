@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_ZERO_TEXT = "0"
 
 
 class ParameterError(ValueError):
@@ -285,56 +286,74 @@ class StochasticMatrix:
         raise TypeError("use StochasticMatrix.from_rows or from_cells")
 
     @classmethod
-    def from_rows(
-        cls, rows: list[list[Fraction]], label: str = ""
-    ) -> "StochasticMatrix":
-        """Matrix from dense rows of exact numbers (``_exact_number``)."""
+    def from_rows(cls, rows: list[list[Fraction]], label: str = "") -> "StochasticMatrix":
+        """Matrix from n rows of n exact numbers (``_exact_number``), the
+        rows and each row a list or a tuple."""
+        if not isinstance(rows, (list, tuple)):
+            raise ParameterError(f'matrix "rows" must be a list of rows, got {type(rows).__name__}')
         n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        cells = [[(j, _exact_number(x, "matrix cell")) for j, x in enumerate(row)] for row in rows]
-        return cls._exact(n, cells, label)
+        if not all(isinstance(row, (list, tuple)) and len(row) == n for row in rows):
+            raise ParameterError(f'matrix "rows" must be {n} lists of {n} cells')
+        return cls._exact(n, [enumerate(row) for row in rows], label)
 
     @classmethod
     def from_cells(
         cls, n: int, cells: dict[tuple[int, int], Fraction], label: str = ""
     ) -> "StochasticMatrix":
         """Size-n matrix from a ``{(i, j): value}`` map of exact numbers
-        (``_exact_number``); absent cells are 0."""
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-        for (i, j), x in cells.items():
-            x = _exact_number(x, "matrix cell")
-            if not (0 <= i < n and 0 <= j < n):
-                raise IndexError(f"cell ({i}, {j}) outside {n}x{n} matrix")
+        (``_exact_number``); absent cells are 0.  n is an int (not a bool),
+        and each key a pair of ints in 0..n-1."""
+        if not _is_int(n):
+            raise ParameterError(f"matrix size n must be an integer, got {n!r}")
+        rows: list[list[tuple[int, object]]] = [[] for _ in range(n)]
+        for key, x in cells.items():
+            i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
+            if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
+                raise ParameterError(f"matrix cell key {key!r}: not a pair of ints in 0..{n - 1}")
             rows[i].append((j, x))
         return cls._exact(n, [sorted(row) for row in rows], label)
 
     @classmethod
     def _exact(cls, n: int, rows: list, label: str) -> "StochasticMatrix":
-        """Rows of ``(j, Fraction)`` pairs in column order, zeros dropped
-        and put over ``den``, the lcm of the reduced denominators.
-
-        That is already in lowest terms: if p**e exactly divides ``den``,
+        """The one loop that reads matrix cells, rows of ``(j, exact number)``
+        pairs in column order: ``_exact_number`` checks each, a string once;
+        the nonzeros go over ``den``, the lcm of the reduced denominators,
+        which is already in lowest terms: if p**e exactly divides ``den``,
         it divides some cell's denominator, so p does not divide that
         cell's numerator times ``den // denominator``.  No gcd is needed.
         """
-        rows = [[(j, x) for j, x in row if x] for row in rows]
-        den = lcm(*{x.denominator for row in rows for _, x in row})
-        ints = [{j: x.numerator * (den // x.denominator) for j, x in row} for row in rows]
+        parsed: dict[str, Fraction] = {}
+        exact = []
+        for row in rows:
+            cells = []
+            for j, x in row:
+                # json.loads gives CPython's 1-char singleton "0"; other "0"s parse once
+                if x is _ZERO_TEXT:
+                    continue
+                if type(x) is str:  # no dict key: 1, 1.0 and True are equal
+                    value = parsed.get(x)
+                    if value is None:
+                        value = parsed[x] = _exact_number(x, "matrix cell")
+                else:
+                    value = _exact_number(x, "matrix cell")
+                if value:
+                    cells.append((j, value))
+            exact.append(cells)
+        den = lcm(*{x.denominator for row in exact for _, x in row})
+        ints = [{j: x.numerator * (den // x.denominator) for j, x in row} for row in exact]
         return cls._new(n, den, ints, label)
 
     @classmethod
     def _lowest_terms(cls, n: int, den: int, rows: list, label: str) -> "StochasticMatrix":
-        """Matrix from rows of ``(j, int)`` pairs over ``den`` in column
-        order that may share a factor: zeros are dropped, and ``den`` and
-        the numerators are divided by their gcd, which makes ``den`` the
-        lcm of the reduced cells' denominators."""
+        """Matrix from ``n_step``'s rows of nonzero ``(j, int)`` pairs over
+        ``den``, in column order, which may share a factor: dividing all by
+        their gcd makes ``den`` the lcm of the reduced denominators."""
         g = den
         for row in rows:  # most matrices reach 1 within a row or two
             g = gcd(g, *(v for _, v in row))
             if g == 1:
                 break
-        ints = [{j: v // g for j, v in row if v} for row in rows]
+        ints = [{j: v // g for j, v in row} for row in rows]
         return cls._new(n, den // g, ints, label)
 
     @classmethod
@@ -421,17 +440,17 @@ def _cells(n: int, a: int, q: int, one: int, boundary: str) -> list[dict[int, in
 def build(family: ChainFamily) -> StochasticMatrix:
     """Materialize a family instance as a StochasticMatrix.
 
-    The cells are int numerators over 7 times q's denominator, which
-    ``_lowest_terms`` reduces to the matrix's ``den``.
+    The cells are written in lowest terms over q's denominator, as q is
+    the cell (0, 1).  Only lucas-cobalancing's 3q/7 needs the unit 1/42;
+    its cells 1/6 and 1/14 share no factor with 42.
     """
     spec = KINDS[family.kind]
     coeff = family.coeff
     q = family.q if spec.takes_q else Fraction(1, coeff)
-    den = 7 * q.denominator
-    rows = _cells(family.n, coeff, 7 * q.numerator, den, spec.boundary)
-    return StochasticMatrix._lowest_terms(
-        family.n, den, [row.items() for row in rows], family.label
-    )
+    scale = 7 if spec.boundary == "lucas-cobalancing" else 1
+    rows = _cells(family.n, coeff, scale * q.numerator, scale * q.denominator, spec.boundary)
+    ints = [{j: v for j, v in row.items() if v} for row in rows]
+    return StochasticMatrix._new(family.n, scale * q.denominator, ints, family.label)
 
 
 @dataclass
@@ -555,9 +574,9 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     """Read a ``matrix_to_json`` payload: ``{"n": n, "rows": [[cell, ...], ...]}``.
 
     A cell is an exact number (``_exact_number``): a JSON integer or a
-    string such as "1/6", "-2" or "0.25"; every malformed payload raises
-    ParameterError.  Each distinct cell string is parsed once per call, a
-    "0" not at all, and only the nonzero cells reach the exact store.
+    string such as "1/6", "-2" or "0.25".  Past the payload's own checks
+    the rows go to ``StochasticMatrix.from_rows``; every malformed payload
+    raises ParameterError.
     """
     try:
         payload = json.loads(text)
@@ -568,25 +587,8 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     n, rows, label = payload.get("n"), payload.get("rows"), payload.get("family", "")
     if type(n) is not int or n < 1:
         raise ParameterError(f'matrix "n" must be a positive integer, got {n!r}')
-    square = isinstance(rows, list) and len(rows) == n
-    if not (square and all(isinstance(row, list) and len(row) == n for row in rows)):
-        raise ParameterError(f'matrix "rows" must be {n} lists of {n} cells')
     if not isinstance(label, str):
         raise ParameterError(f'matrix "family" must be a string, got {label!r}')
-    parsed: dict[str, Fraction] = {}
-    sparse = []
-    for row in rows:
-        cells = []
-        for j, cell in enumerate(row):
-            if cell == "0":  # how matrix_to_json writes a zero
-                continue
-            # only strings are memoised: 1, 1.0 and True are equal dict keys
-            if type(cell) is str:
-                value = parsed.get(cell)
-                if value is None:
-                    value = parsed[cell] = _exact_number(cell, "matrix cell")
-            else:
-                value = _exact_number(cell, "matrix cell")
-            cells.append((j, value))
-        sparse.append(cells)
-    return StochasticMatrix._exact(n, sparse, label)
+    if not (isinstance(rows, list) and len(rows) == n):
+        raise ParameterError(f'matrix "rows" must be {n} lists of {n} cells')
+    return StochasticMatrix.from_rows(rows, label)

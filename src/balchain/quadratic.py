@@ -69,10 +69,8 @@ class QuadInt:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QuadInt:
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = ONE
-        base = self
+        _require_int("exponent", n, 0)
+        result, base = ONE, self
         while n:
             if n & 1:
                 result = result * base

@@ -207,10 +207,60 @@ def test_from_cells_drops_zeros_and_checks_bounds():
     assert m == StochasticMatrix.from_rows([[R(1), R(0)], [R(1, 2), R(1, 2)]])
     assert m.nonzeros(0) == [(0, R(1))]
     assert m.nonzeros(1) == [(0, R(1, 2)), (1, R(1, 2))]
-    with pytest.raises(IndexError):
+    with pytest.raises(ParameterError):
         StochasticMatrix.from_cells(2, {(0, 2): R(1)})
     with pytest.raises(IndexError):
         m.nonzeros(2)
+
+
+KEY_ERROR = "matrix cell key {}: not a pair of ints in 0..1"
+
+
+@pytest.mark.parametrize(
+    "constructor,args,message",
+    [
+        ("from_cells", (2, {(0, 5): 1}), KEY_ERROR.format("(0, 5)")),
+        ("from_cells", (2, {(0,): 1}), KEY_ERROR.format("(0,)")),
+        ("from_cells", (2, {(0, True): 1}), KEY_ERROR.format("(0, True)")),
+        ("from_cells", (2, {(-1, 0): 1}), KEY_ERROR.format("(-1, 0)")),
+        ("from_cells", (2, {"ab": 1}), KEY_ERROR.format("'ab'")),
+        ("from_cells", (2.5, {(0, 0): 1}), "matrix size n must be an integer, got 2.5"),
+        ("from_cells", (True, {(0, 0): 1}), "matrix size n must be an integer, got True"),
+        ("from_rows", (None,), 'matrix "rows" must be a list of rows, got NoneType'),
+        ("from_rows", ([[1, 0], None],), 'matrix "rows" must be 2 lists of 2 cells'),
+        ("from_rows", ([[1, 0, 0], [1, 0, 0]],), 'matrix "rows" must be 2 lists of 2 cells'),
+        ("from_rows", (["10", "01"],), 'matrix "rows" must be 2 lists of 2 cells'),
+    ],
+)
+def test_malformed_shapes_raise_parameter_error(constructor, args, message):
+    # before: a bare IndexError, an unpacking ValueError, a TypeError from
+    # range() or len(), "matrix must be square", a "TruexTrue" matrix, and
+    # strings read as rows of one-character cells
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        getattr(StochasticMatrix, constructor)(*args)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [1]], [[1], [1, 0]], [[1, 0], "10"], [[1, 0], {}]])
+def test_ragged_rows_give_one_message_from_rows_and_json(rows):
+    errors = []
+    for read in (StochasticMatrix.from_rows, lambda r: matrix_from_json(json.dumps({"n": 2, "rows": r}))):
+        with pytest.raises(ParameterError) as caught:
+            read(rows)
+        errors.append(str(caught.value))
+    assert errors == ['matrix "rows" must be 2 lists of 2 cells'] * 2
+
+
+def test_json_family_is_checked_before_the_rows():
+    payload = json.dumps({"n": 2, "rows": [[1, 0], [1]], "family": 7})
+    with pytest.raises(ParameterError, match='^matrix "family" must be a string, got 7$'):
+        matrix_from_json(payload)
+
+
+def test_string_cells_read_like_fractions():
+    cells = [["0", "1/6", "5/6"], ["1/6", "0", "5/6"], ["1/2", "1/6", "1/3"]]
+    m = StochasticMatrix.from_rows(cells)
+    assert m == StochasticMatrix.from_rows([[R(c) for c in row] for row in cells])
+    assert m.nonzero_count() == 7
 
 
 def test_registry_drives_the_constructor():
@@ -429,7 +479,7 @@ def test_store_is_canonical(rows):
     st.sampled_from(sorted(KINDS)),
     st.integers(3, 30),
     st.integers(2, 12),
-    st.sampled_from([R(1, 7), R(1, 14), R(2, 49), R(1, 6), R(3, 100)]),
+    st.sampled_from([R(1, 7), R(1, 14), R(2, 49), R(1, 6), R(3, 100), R(7, 50), R(2, 15), R(5, 31)]),
 )
 def test_built_store_is_canonical(kind, n, a, q):
     spec = KINDS[kind]
@@ -437,6 +487,14 @@ def test_built_store_is_canonical(kind, n, a, q):
     a, q = (a if spec.takes_a else None), (q if spec.takes_q else None)
     m = build(ChainFamily(kind, max(n, spec.min_n), a, q))
     assert m == StochasticMatrix.from_rows(m.rows())
+    # q is the cell (0, 1), so its denominator is the store's; a q-free
+    # kind has q = 1/a, and lucas-cobalancing's 1/14 needs 42
+    if q is not None:
+        assert m.den == q.denominator
+    elif kind == "lucas-cobalancing":
+        assert m.den == 42
+    else:
+        assert m.den == (a or 6)
 
 
 def test_validate_reports_are_equal_on_both_stores():

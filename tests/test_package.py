@@ -10,6 +10,8 @@ import pytest
 import balchain
 from balchain import (
     BALANCING,
+    BETA,
+    StochasticMatrix,
     balancing_chain,
     beta_power_row,
     build,
@@ -76,6 +78,8 @@ INT_ARGUMENTS = {
     "silver_ratio_gap.n": silver_ratio_gap,
     "silver_ratio_gap.digits": lambda v: silver_ratio_gap(5, v),
     "beta_power_row": beta_power_row,
+    "StochasticMatrix.from_cells.n": lambda v: StochasticMatrix.from_cells(v, {}),
+    "QuadInt.__pow__": lambda v: BETA**v,
 }
 
 

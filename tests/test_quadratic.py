@@ -36,8 +36,15 @@ def test_qpow_examples():
     assert BETA**0 == ONE
     assert BETA**2 == QuadInt(17, -12)
     assert BETA**3 == QuadInt(99, -70)
-    with pytest.raises(TypeError):
-        BETA**-1
+    # before, a negative exponent raised a bare TypeError, and a bool one
+    # was taken as 0 or 1
+    for exponent, message in [
+        (-1, "exponent must be >= 0, got -1"),
+        (True, "exponent must be an integer, got True"),
+        (False, "exponent must be an integer, got False"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BETA**exponent
 
 
 def test_arithmetic_with_ints():
