@@ -368,10 +368,14 @@ class StochasticMatrix:
         self.numerators = tuple(rows)
         return self
 
+    def _state(self, i: object) -> int:
+        """``i`` if it is an int, not a bool, in 0..n-1; else IndexError."""
+        if _is_int(i) and 0 <= i < self.n:
+            return i
+        raise IndexError(f"index {i!r} is not a state of the {self.n}x{self.n} matrix")
+
     def entry(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) outside {self.n}x{self.n} matrix")
-        v = self.numerators[i].get(j)
+        v = self.numerators[self._state(i)].get(self._state(j))
         return Fraction(v, self.den) if v else _ZERO
 
     def row(self, i: int) -> tuple[Fraction, ...]:
@@ -385,7 +389,7 @@ class StochasticMatrix:
 
     def nonzeros(self, i: int) -> list[tuple[int, Fraction]]:
         """The nonzero cells ``(j, value)`` of row ``i``, in column order."""
-        return [(j, Fraction(v, self.den)) for j, v in self.numerators[i].items()]
+        return [(j, Fraction(v, self.den)) for j, v in self.numerators[self._state(i)].items()]
 
     def nonzero_count(self) -> int:
         return sum(len(cells) for cells in self.numerators)

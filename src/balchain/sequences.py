@@ -4,13 +4,15 @@ A balancing number is a natural number N for which 8*N**2 + 1 is a perfect
 square; the square roots of those discriminants are the Lucas-balancing
 numbers.  Cobalancing numbers satisfy the shifted condition
 8*N**2 + 8*N + 1 = square.  All of these, and the Pell numbers, come out of
-one second-order recurrence with exact arbitrary-precision integers:
-``sequence`` steps it once per term, and ``term`` and
-``balancing_matrix_power`` read one doubling engine (``_lucas_u``) that
-jumps to index k in three big-integer products per bit of k.
+one second-order recurrence with exact arbitrary-precision integers.
+There is one engine per job.  Every run of terms steps ``_recurrence``
+once per term: ``sequence`` in ints, and ``seq``'s ``_decimal_terms`` in
+exact ``Decimal``.  Every jump to one index, ``term`` and
+``balancing_matrix_power``, reads the doubling engine ``_lucas_u``, which
+takes three big-integer products per bit of the index.
 
-Every index, count, exponent and multiplier is an int (bool excluded);
-anything else raises ValueError.
+Every index, count, exponent, multiplier and recurrence parameter is an
+int (bool excluded); anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class RecurrenceSpec:
     """Engine parameters for x[k+1] = coeff*x[k] + back*x[k-1] + shift.
 
     ``back`` is -1 for every balancing-type sequence and +1 for Pell, so a
-    single signed engine covers both recurrence shapes.
+    single signed engine covers both recurrence shapes.  Each field is an
+    int, not a bool, or ValueError.
     """
 
     coeff: int
@@ -81,6 +84,10 @@ class RecurrenceSpec:
     x0: int
     x1: int
     back: int = -1
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            _require_int(name, value)
 
 
 @dataclass(frozen=True)
@@ -168,41 +175,24 @@ def _decimal_terms(kind: SequenceKind, count: int) -> list[str]:
     quadratic.  The interpreter's int-to-str limit still applies: the first
     term with more digits than ``sys.get_int_max_str_digits()`` (0 or
     absent means no limit) is converted with ``str(int)``, which raises the
-    interpreter's own ``ValueError``, and no later term is computed.  When
-    ``_passes_limit`` finds such a term beforehand, no term is formatted.
+    interpreter's own ``ValueError``, and no later term is computed.  Terms
+    are formatted only after every term has passed that check, so a run
+    that raises formats none.
     """
     _require_int("count", count, 0)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     r = kind.recurrence
-    doomed = limit > 0 and _passes_limit(kind, count, limit)
-    out: list[str] = []
+    terms: list = []
     with localcontext(_EXACT):
         for x in _recurrence(r, count, Decimal(r.x0), Decimal(r.x1)):
             # adjusted() is the digit count less one, whatever the sign
             if limit and x.adjusted() >= limit:
                 str(int(x))  # raises the interpreter's own ValueError
-            if not doomed:
-                out.append(str(x))
-    return out
-
-
-def _passes_limit(kind: SequenceKind, count: int, limit: int) -> bool:
-    """Whether one of the terms at indices 1, 2, 4, ... below ``count - 1``
-    and at ``count - 1`` has more than ``limit`` digits, each by ``term``.
-
-    True means a term below ``count`` is past the limit.  False rules one
-    out for a sequence whose magnitudes never fall, as for every named
-    kind; the probes stop at the first term past the limit, so none has
-    many more digits than the limit, and a sequence that stays below it
-    has small terms.
-    """
-    bound = 10**limit
-    index = 1
-    while index < count - 1:
-        if abs(term(kind, index)) >= bound:
-            return True
-        index *= 2
-    return count > 0 and abs(term(kind, count - 1)) >= bound
+            terms.append(x)
+    # in place, largest first: a lower peak than formatting front to back
+    for i in reversed(range(count)):
+        terms[i] = str(terms[i])
+    return terms
 
 
 def integer_sqrt(n: int) -> tuple[int, bool]:

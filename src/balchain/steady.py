@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, inf
 from numbers import Real
 from operator import mul
@@ -263,15 +263,17 @@ _IntRows = list[list[tuple[int, int]]]
 
 def _int_mul(x: _IntRows, y: _IntRows) -> _IntRows:
     """Product of two square integer matrices held as rows of nonzero
-    ``(j, value)`` pairs; zero cells of either factor cost nothing."""
+    ``(j, value)`` pairs; zero cells of either factor cost nothing, and
+    ``compress`` finds each row's nonzero sums in C."""
     n = len(y)
+    states = range(n)
     out = []
     for xi in x:
         acc = [0] * n
         for k, a in xi:
             for j, b in y[k]:
                 acc[j] += a * b
-        out.append([(j, v) for j, v in enumerate(acc) if v])
+        out.append([(j, acc[j]) for j in compress(states, acc)])
     return out
 
 

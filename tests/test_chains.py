@@ -390,11 +390,12 @@ def test_json_round_trip_banded():
 
 
 def test_entry_bounds_checked():
+    # one rule for entry, row and nonzeros: an int, not a bool, in 0..n-1
     m = build(balancing_chain(3))
-    with pytest.raises(IndexError):
-        m.entry(3, 0)
-    with pytest.raises(IndexError):
-        m.entry(0, -1)
+    for bad in (-1, 3, True, False, 1.0, None, "1"):
+        for call in (lambda: m.entry(bad, 0), lambda: m.entry(0, bad), lambda: m.row(bad), lambda: m.nonzeros(bad)):
+            with pytest.raises(IndexError, match=re.escape(f"index {bad!r} is not a state")):
+                call()
 
 
 def solve_by_band_route(monkeypatch, m):

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from balchain import sequences
 from balchain.sequences import (
     BALANCING,
     COBALANCING,
@@ -12,7 +15,6 @@ from balchain.sequences import (
     RecurrenceSpec,
     SequenceKind,
     _decimal_terms,
-    _passes_limit,
     balancing_like,
     balancing_matrix_power,
     check_pell_links,
@@ -141,6 +143,7 @@ def test_sequence_layer_rejects_non_int_arguments(bad):
         lambda: is_balancing(bad),
         lambda: is_cobalancing(bad),
         lambda: integer_sqrt(bad),
+        lambda: RecurrenceSpec(bad, 0, 0, 1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="must be an integer"):
@@ -156,15 +159,29 @@ def test_negative_index_rejected():
         _decimal_terms(BALANCING, -1)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
 @pytest.mark.parametrize("kind", [*NAMED_KINDS.values(), balancing_like(3)], ids=lambda k: k.name)
-def test_passes_limit_finds_a_term_past_the_limit_when_one_exists(kind):
-    # the probe that lets seq format nothing when it will raise
+def test_decimal_terms_past_the_limit_formats_no_term(monkeypatch, kind):
+    # the one str call of a run that raises is the interpreter's own, on an int
     limit = 640
     bound = 10**limit
     first = next(i for i, x in enumerate(sequence(kind, 4000)) if abs(x) >= bound)
-    for count in (0, 1, 2, 3, first - 1, first, first + 1, first + 2, 2 * first, 10**9):
-        assert _passes_limit(kind, count, limit) == (count > first)
-    assert not _passes_limit(balancing_like(2), 10**9, limit)
+    seen = []
+
+    def spy(x):
+        seen.append(type(x))
+        return str(x)
+
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert len(_decimal_terms(kind, first)) == first
+        monkeypatch.setattr(sequences, "str", spy, raising=False)
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            _decimal_terms(kind, first + 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert seen == [int]
 
 
 def test_named_kind_registry():
