@@ -189,7 +189,7 @@ def _decimal_terms(kind: SequenceKind, count: int) -> list[str]:
             if limit and x.adjusted() >= limit:
                 str(int(x))  # raises the interpreter's own ValueError
             terms.append(x)
-    # in place, largest first: a lower peak than formatting front to back
+    # in place from the last term back, which peaks lower than front to back
     for i in reversed(range(count)):
         terms[i] = str(terms[i])
     return terms
