@@ -7,15 +7,17 @@ numbers, which is what the rest of the package verifies.
 
 All kinds share one shape, built by ``_cells`` from a multiplier ``a`` (6
 unless the kind takes one), a step probability ``q`` and a boundary that
-rewrites the last rows; a q-free kind is its q-family at ``q = 1/a``.
+sets the last row's collapse: each row lists its moves, and its stay cell
+is what they leave.  A q-free kind is its q-family at ``q = 1/a``.
 Everything else the package knows about a kind (size minimum, parameters,
 closed form, note) is its row of ``KINDS``, so adding a family means adding
 one registry row.  ``ChainFamily`` is the one constructor: it checks every
 instance against its row.
 
 A matrix is one denominator plus int numerators of each row's nonzero
-cells, in lowest terms, so equal matrices have equal stores; the solvers
-read those ints, and walking a matrix is O(nnz).
+cells, in lowest terms, so equal matrices have equal stores; ``build``
+writes ``_cells``'s rows as the store, the solvers read those ints, and
+walking a matrix is O(nnz).
 """
 
 from __future__ import annotations
@@ -407,54 +409,50 @@ class StochasticMatrix:
 
 
 def _cells(n: int, a: int, q: int, one: int, boundary: str) -> list[dict[int, int]]:
-    """Rows of ``{j: cell}``, in column order, of the size-n chain with
-    multiplier a and step q, in multiples of the unit ``one``.
+    """Rows of ``{j: cell}``, zero-free and in column order, of the size-n
+    chain with multiplier a and step q, in multiples of the unit ``one``.
 
-    State 0 moves up with probability q and otherwise stays.  Every other
-    state steps down and up with probability q each, stays with 1 - a*q
-    and collapses to state 0 with the remaining (a - 2)*q; state 1's step
-    down is one more collapse.  The last state has no step up, and the
-    boundary says where that q goes.  At q = 1/a the stay cells are 0.
-    ``build`` passes ints with q a multiple of 7, so 3q/7 is whole.
+    A row lists its moves: collapse to state 0 with (a - 2)*q, step down
+    and step up with q each; state 0 only steps up, state 1's step down is
+    a collapse, the last state has no step up.  It stays with ``one`` less
+    the moves.  The boundary sets the last row's collapse: "edge" adds q,
+    the lucas kinds use 2q (a = 6); lucas-cobalancing also moves 4q/7 of
+    row n-2's step up to collapse (q is a multiple of 7 there).  Linear in
+    (one, q): (1, 0) gives I and (0, 7) gives 7G, for P = I + q*G.
     """
-    collapse, stay = (a - 2) * q, one - a * q
-    rows = [{0: one - q, 1: q}] + [{} for _ in range(1, n)]
-    for i in range(1, n):
-        rows[i][0] = collapse
-        rows[i][i - 1] = q
-        rows[i][i] = stay
-        if i + 1 < n:
-            rows[i][i + 1] = q
-    rows[1][0] = collapse + q
-    last = rows[n - 1]
-    if boundary == "edge":  # to state 0
-        last[0] += q
-    elif boundary == "reflect":  # it stays
-        last[n - 1] += q
-    else:  # it stays, and so does 2q of the collapse (a = 6)
-        if boundary == "lucas-cobalancing":
-            # the step up into the last state shrinks to 3q/7
-            rows[n - 2][n - 1] = 3 * q // 7
-            rows[n - 2][0] += 4 * q // 7
-        last[0] = 2 * q
-        last[n - 1] = one - 3 * q
+    collapse = [0, (a - 1) * q] + [(a - 2) * q] * (n - 2)
+    down = [0, 0] + [q] * (n - 2)
+    up = [q] * (n - 1) + [0]
+    if boundary == "edge":
+        collapse[-1] += q
+    elif boundary.startswith("lucas"):
+        collapse[-1] = 2 * q
+    if boundary == "lucas-cobalancing":
+        up[-2], collapse[-2] = 3 * q // 7, collapse[-2] + 4 * q // 7
+    rows = []
+    for i, (c, d, u) in enumerate(zip(collapse, down, up)):
+        row = {0: c} if c else {}
+        if d:
+            row[i - 1] = d
+        if stay := one - c - d - u:
+            row[i] = stay
+        if u:
+            row[i + 1] = u
+        rows.append(row)
     return rows
 
 
 def build(family: ChainFamily) -> StochasticMatrix:
-    """Materialize a family instance as a StochasticMatrix.
-
-    The cells are written in lowest terms over q's denominator, as q is
-    the cell (0, 1).  Only lucas-cobalancing's 3q/7 needs the unit 1/42;
-    its cells 1/6 and 1/14 share no factor with 42.
-    """
+    """Materialize a family instance as a StochasticMatrix: ``_cells``'s
+    rows over q's denominator are the store, in lowest terms as q is the
+    cell (0, 1).  Only lucas-cobalancing's 3q/7 needs the unit 1/42; its
+    cells 1/6 and 1/14 share no factor with 42."""
     spec = KINDS[family.kind]
-    coeff = family.coeff
-    q = family.q if spec.takes_q else Fraction(1, coeff)
+    q = family.q if spec.takes_q else Fraction(1, family.coeff)
     scale = 7 if spec.boundary == "lucas-cobalancing" else 1
-    rows = _cells(family.n, coeff, scale * q.numerator, scale * q.denominator, spec.boundary)
-    ints = [{j: v for j, v in row.items() if v} for row in rows]
-    return StochasticMatrix._new(family.n, scale * q.denominator, ints, family.label)
+    den = scale * q.denominator
+    rows = _cells(family.n, family.coeff, scale * q.numerator, den, spec.boundary)
+    return StochasticMatrix._new(family.n, den, rows, family.label)
 
 
 @dataclass
@@ -584,7 +582,7 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     """
     try:
         payload = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # json recurses once per nesting level
         raise ParameterError(f"matrix file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ParameterError("matrix file must hold a JSON object")

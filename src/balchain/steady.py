@@ -43,7 +43,10 @@ RNG_ALGORITHM = "mt19937"
 
 
 class SolverError(Exception):
-    """The balance system is singular: the chain is reducible or periodic."""
+    """The balance system is singular: the chain is not irreducible."""
+
+
+_SINGULAR = "singular balance system; the chain is not irreducible"
 
 
 class ConvergenceError(Exception):
@@ -120,47 +123,45 @@ def _solve_band(den: int, rows: tuple[dict[int, int], ...]) -> list[Fraction]:
         w = [v // g for v in w]
     total = sum(w)
     if total == 0:
-        raise SolverError(
-            "singular balance system; the chain is not irreducible/aperiodic"
-        )
+        raise SolverError(_SINGULAR)
     return [Fraction(v, total) for v in w]
 
 
 def _solve_gauss(m: StochasticMatrix) -> list[Fraction]:
-    """Fraction Gaussian elimination with partial pivoting on magnitude.
+    """Fraction Gaussian elimination on the augmented balance system.
 
-    Builds the transposed balance system (P^T - I) pi = 0 and replaces the
-    first (redundant) equation with the normalization sum(pi) == 1.
+    Row j is column j of P - I, read from the int store in O(nnz), with
+    its right-hand side 0 as the last column; the redundant row 0 becomes
+    sum(pi) == 1, all ones.  A column pivots on its first nonzero entry:
+    in exact arithmetic neither the solution nor whether the system is
+    singular depends on which nonzero is taken.
     """
-    n = m.n
-    one = Fraction(1)
-    zero = Fraction(0)
-    a = [[m.entry(i, j) - (one if i == j else zero) for i in range(n)] for j in range(n)]
-    rhs = [zero] * n
-    a[0] = [one] * n
-    rhs[0] = one
+    n, den = m.n, m.den
+    zero, one = Fraction(0), Fraction(1)
+    a = [[one] * (n + 1)] + [[zero] * j + [-one] + [zero] * (n - j) for j in range(1, n)]
+    for i, cells in enumerate(m.numerators):
+        for j, v in cells.items():
+            if j:
+                a[j][i] += Fraction(v, den)
 
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise SolverError(
-                "singular balance system; the chain is not irreducible/aperiodic"
-            )
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise SolverError(_SINGULAR)
+        a[col], a[pivot] = a[pivot], a[col]
         pivot_row = a[col]
+        # the pivot row's nonzeros right of col; column col is not read again
+        pivot_cells = [(k, x) for k, x in enumerate(pivot_row[col + 1 :], col + 1) if x]
         for r in range(col + 1, n):
-            factor = a[r][col] / pivot_row[col]
-            if factor:
-                row = a[r]
-                for k in range(col, n):
-                    row[k] -= factor * pivot_row[k]
-                rhs[r] -= factor * rhs[col]
+            row = a[r]
+            if row[col]:
+                factor = row[col] / pivot_row[col]
+                for k, x in pivot_cells:
+                    row[k] -= factor * x
 
     pi = [zero] * n
     for r in range(n - 1, -1, -1):
-        acc = rhs[r]
+        acc = a[r][n]
         row = a[r]
         for k in range(r + 1, n):
             acc -= row[k] * pi[k]

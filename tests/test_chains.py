@@ -129,6 +129,31 @@ def test_multiplier_six_specializes_to_balancing():
         )
 
 
+def q_family_cases():
+    """Each q-kind, balancing-like-q at a = 2, 3, 5 and 10."""
+    for kind, spec in KINDS.items():
+        if spec.takes_q:
+            for a in (2, 3, 5, 10) if spec.takes_a else (None,):
+                yield pytest.param(kind, a, id=f"{kind}-a={a}" if a else kind)
+
+
+def cell_map(m):
+    return {(i, j): x for i in range(m.n) for j, x in m.nonzeros(i)}
+
+
+@pytest.mark.parametrize("kind, a", q_family_cases())
+def test_q_families_are_affine_in_q_with_identity_at_zero(kind, a):
+    # P(q) = I + q*G (uniformization), so P(q/2) == (P(q) + I)/2 cell by cell
+    c = a or 6
+    for q in (R(1, c), R(1, c + 1), R(1, 100)):
+        for n in range(KINDS[kind].min_n, 41):
+            shifted = cell_map(build(ChainFamily(kind, n, a, q)))
+            for i in range(n):
+                shifted[i, i] = shifted.get((i, i), 0) + 1
+            expected = {key: x / 2 for key, x in shifted.items()}
+            assert cell_map(build(ChainFamily(kind, n, a, q / 2))) == expected, (n, q)
+
+
 @pytest.mark.parametrize("family", all_families(), ids=lambda f: f.label)
 def test_rows_are_exact_distributions(family):
     m = build(family)
@@ -488,6 +513,8 @@ def test_built_store_is_canonical(kind, n, a, q):
     a, q = (a if spec.takes_a else None), (q if spec.takes_q else None)
     m = build(ChainFamily(kind, max(n, spec.min_n), a, q))
     assert m == StochasticMatrix.from_rows(m.rows())
+    # zero-free and in column order, as read back from dense rows
+    assert all(list(cells) == sorted(cells) and all(cells.values()) for cells in m.numerators)
     # q is the cell (0, 1), so its denominator is the store's; a q-free
     # kind has q = 1/a, and lucas-cobalancing's 1/14 needs 42
     if q is not None:

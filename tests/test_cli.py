@@ -316,6 +316,7 @@ BAD_MATRIX_FILES = [
     ("{not json", 2, "not valid JSON"),
     ({"n": 2, "rows": [[1, 0], [0, 1]]}, 4, "reducible"),
     ({"n": 2, "rows": [[1, 0], [1, 0]]}, 4, "reducible"),
+    pytest.param("[" * 100000, 2, "not valid JSON", id="deeply-nested-2-not valid JSON"),
 ]
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from balchain import steady
@@ -20,6 +20,7 @@ from balchain.chains import (
     matrix_from_json,
     matrix_to_json,
     pell_ratio_chain,
+    validate,
 )
 from balchain.steady import (
     ConvergenceError,
@@ -98,8 +99,12 @@ def test_interior_balance_recursion():
 
 def test_solver_rejects_reducible_chain():
     identity = StochasticMatrix.from_rows([[R(1), R(0)], [R(0), R(1)]])
-    with pytest.raises(SolverError):
-        solve_exact(identity)
+    # two closed classes: states 0 and 1 absorb, state 2 moves to either
+    split = StochasticMatrix.from_rows([[1, 0, 0], [0, 1, 0], [R(1, 2), R(1, 2), 0]])
+    for m in (identity, split):
+        for solver in (solve_exact, _solve_gauss):
+            with pytest.raises(SolverError):
+                solver(m)
 
 
 def test_dense_and_banded_solves_are_identical():
@@ -565,9 +570,35 @@ def test_band_route_equals_gaussian_elimination(arrays):
 def test_band_route_singular_system_raises_both_ways():
     # pi = (-1, 1) solves both column equations, so sum(pi) == 0
     m = StochasticMatrix.from_rows([[R(1, 2), R(1, 2)], [R(0), R(3, 2)]])
+    messages = set()
     for solver in (solve_exact, _solve_gauss):
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError) as raised:
             solver(m)
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+    assert "periodic" not in messages.pop()
+    # a periodic irreducible chain off the band, 0 -> 2 -> 1 -> 3 -> 0, is
+    # not singular
+    cycle = StochasticMatrix.from_cells(4, {(0, 2): 1, (2, 1): 1, (1, 3): 1, (3, 0): 1})
+    assert validate(cycle).period == 4
+    for solver in (solve_exact, _solve_gauss):
+        assert solver(cycle) == [R(1, 4)] * 4
+
+
+@st.composite
+def weighted_matrices(draw):
+    """Stochastic rows of size 1..7 from nonnegative int weights."""
+    n = draw(st.integers(1, 7))
+    weights = st.lists(st.sampled_from([0, 0, 1, 2, 7]), min_size=n, max_size=n).filter(any)
+    rows = [[R(w, sum(row)) for w in row] for row in (draw(weights) for _ in range(n))]
+    return StochasticMatrix.from_rows(rows)
+
+
+@given(weighted_matrices())
+def test_irreducible_chains_solve_exactly_by_elimination(m):
+    assume(validate(m).irreducible)
+    assert_exactly_stationary(m, _solve_gauss(m))
+    assert_exactly_stationary(m, solve_exact(m))
 
 
 def sweep_cases():
