@@ -14,15 +14,17 @@ closed form, note) is its row of ``KINDS``, so adding a family means adding
 one registry row.  ``ChainFamily`` is the one constructor: it checks every
 instance against its row.
 
-A matrix is one denominator plus int numerators of each row's nonzero
-cells, in lowest terms, so equal matrices have equal stores; ``build``
-writes ``_cells``'s rows as the store, the solvers read those ints, and
-walking a matrix is O(nnz).
+A matrix is stochastic, checked once where outside cells enter, and is
+one denominator plus int numerators of each row's nonzero cells, in
+lowest terms, so equal matrices have equal stores; ``build`` writes
+``_cells``'s rows as the store, the solvers read those ints, and walking
+a matrix is O(nnz).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -279,10 +281,12 @@ def balancing_like_chain_q(n: int, a: int, q: Fraction) -> ChainFamily:
 
 
 class StochasticMatrix:
-    """Square matrix of exact fractions, kept fraction-free: a denominator
+    """Square stochastic matrix of exact fractions: every cell is >= 0 and
+    every row sums to exactly 1.  It is kept fraction-free: a denominator
     ``den``, the lcm of the reduced cells' denominators, and ``numerators``,
-    each row's nonzero cells as ``{j: int}`` in column order.  ``entry``,
-    ``row``, ``rows`` and ``nonzeros`` return reduced Fractions."""
+    each row's nonzero cells as ``{j: int}`` in column order, positive ints
+    that sum to ``den``.  ``entry``, ``row``, ``rows`` and ``nonzeros``
+    return reduced Fractions."""
 
     def __init__(self) -> None:
         raise TypeError("use StochasticMatrix.from_rows or from_cells")
@@ -290,7 +294,8 @@ class StochasticMatrix:
     @classmethod
     def from_rows(cls, rows: list[list[Fraction]], label: str = "") -> "StochasticMatrix":
         """Matrix from n rows of n exact numbers (``_exact_number``), the
-        rows and each row a list or a tuple."""
+        rows and each row a list or a tuple; ``_exact`` refuses a matrix
+        that is not stochastic."""
         if not isinstance(rows, (list, tuple)):
             raise ParameterError(f'matrix "rows" must be a list of rows, got {type(rows).__name__}')
         n = len(rows)
@@ -304,7 +309,8 @@ class StochasticMatrix:
     ) -> "StochasticMatrix":
         """Size-n matrix from a ``{(i, j): value}`` map of exact numbers
         (``_exact_number``); absent cells are 0.  n is an int (not a bool),
-        and each key a pair of ints in 0..n-1."""
+        and each key a pair of ints in 0..n-1; ``_exact`` refuses a matrix
+        that is not stochastic."""
         if not _is_int(n):
             raise ParameterError(f"matrix size n must be an integer, got {n!r}")
         rows: list[list[tuple[int, object]]] = [[] for _ in range(n)]
@@ -323,6 +329,9 @@ class StochasticMatrix:
         which is already in lowest terms: if p**e exactly divides ``den``,
         it divides some cell's denominator, so p does not divide that
         cell's numerator times ``den // denominator``.  No gcd is needed.
+        Once every cell is parsed, the first negative cell in row-major
+        order, and then the first row whose numerators do not sum to
+        ``den``, raises ParameterError, so every matrix is stochastic.
         """
         parsed: dict[str, Fraction] = {}
         exact = []
@@ -343,6 +352,13 @@ class StochasticMatrix:
             exact.append(cells)
         den = lcm(*{x.denominator for row in exact for _, x in row})
         ints = [{j: x.numerator * (den // x.denominator) for j, x in row} for row in exact]
+        for i, row in enumerate(ints):
+            for j, v in row.items():
+                if v < 0:
+                    raise ParameterError(f"matrix entry ({i}, {j}) is negative: {Fraction(v, den)}")
+        for i, row in enumerate(ints):
+            if (total := sum(row.values())) != den:
+                raise ParameterError(f"matrix row {i} sums to {Fraction(total, den)}, not 1")
         return cls._new(n, den, ints, label)
 
     @classmethod
@@ -361,8 +377,9 @@ class StochasticMatrix:
     @classmethod
     def _new(cls, n: int, den: int, rows: list, label: str) -> "StochasticMatrix":
         """The constructor behind every matrix: ``rows`` are ``{j: int}``
-        maps of nonzero numerators in column order, in lowest terms with
-        ``den``."""
+        maps of positive numerators in column order that sum to ``den``, in
+        lowest terms with it.  Nothing is checked: ``build`` and ``n_step``
+        are stochastic by construction, and ``_exact`` checks the rest."""
         if n < 1:
             raise ValueError("matrix has no states")
         self = object.__new__(cls)
@@ -457,11 +474,10 @@ def build(family: ChainFamily) -> StochasticMatrix:
 
 @dataclass
 class ValidationReport:
-    """Outcome of the stochasticity and ergodicity checks on a matrix."""
+    """Outcome of the ergodicity checks on a matrix, which is stochastic
+    by construction."""
 
     n: int
-    negative_entries: list[tuple[int, int]]
-    bad_row_sums: list[tuple[int, Fraction]]
     unreachable: list[int]
     non_returning: list[int]
     period: int | None
@@ -473,39 +489,20 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.negative_entries
-            and not self.bad_row_sums
-            and self.irreducible
-            and self.aperiodic is True
-        )
+        return self.irreducible and self.aperiodic is True
 
 
 def validate(m: StochasticMatrix) -> ValidationReport:
-    """Check nonnegativity, exact row sums, irreducibility, aperiodicity.
-
-    Walks only the nonzero cells of each row, so it is O(nnz); a row sums
-    to 1 when its int numerators sum to ``den``.
-    """
+    """Check irreducibility and aperiodicity on the nonzero cells, O(nnz);
+    stochasticity holds for every matrix, as ``_exact`` checks it."""
     n = m.n
-    negative: list[tuple[int, int]] = []
-    bad_sums: list[tuple[int, Fraction]] = []
-    adjacency: list[list[int]] = []
+    adjacency = m.numerators  # a row's keys are its targets
     reverse: list[list[int]] = [[] for _ in range(n)]
-    for i, cells in enumerate(m.numerators):
-        targets = []
-        for j, v in cells.items():
-            if v < 0:
-                negative.append((i, j))
-            else:
-                targets.append(j)
-                reverse[j].append(i)
-        adjacency.append(targets)
-        total = sum(cells.values())
-        if total != m.den:
-            bad_sums.append((i, Fraction(total, m.den)))
+    for i, targets in enumerate(adjacency):
+        for j in targets:
+            reverse[j].append(i)
 
-    def reach(adj: list[list[int]]) -> tuple[set[int], dict[int, int]]:
+    def reach(adj: Sequence[Iterable[int]]) -> tuple[set[int], dict[int, int]]:
         seen = {0: 0}
         frontier = [0]
         while frontier:
@@ -534,8 +531,6 @@ def validate(m: StochasticMatrix) -> ValidationReport:
         aperiodic = period == 1
     return ValidationReport(
         n=n,
-        negative_entries=negative,
-        bad_row_sums=bad_sums,
         unreachable=unreachable,
         non_returning=non_returning,
         period=period,
@@ -576,9 +571,9 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     """Read a ``matrix_to_json`` payload: ``{"n": n, "rows": [[cell, ...], ...]}``.
 
     A cell is an exact number (``_exact_number``): a JSON integer or a
-    string such as "1/6", "-2" or "0.25".  Past the payload's own checks
-    the rows go to ``StochasticMatrix.from_rows``; every malformed payload
-    raises ParameterError.
+    string such as "1/6" or "0.25".  Past the payload's own checks the
+    rows go to ``StochasticMatrix.from_rows``; every malformed payload, and
+    a matrix that is not stochastic, raises ParameterError.
     """
     try:
         payload = json.loads(text)

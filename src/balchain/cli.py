@@ -18,7 +18,6 @@ from pathlib import Path
 from .chains import (
     KINDS,
     ChainFamily,
-    ParameterError,
     StochasticMatrix,
     _exact_number,
     build,
@@ -238,16 +237,11 @@ def _cmd_chain(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _require_chain(matrix: StochasticMatrix, method: str) -> None:
-    """Reject a matrix file that is not an irreducible stochastic matrix,
-    and a periodic one for power iteration, whose iterates oscillate on it
-    unless the uniform start is already stationary."""
+    """Reject a matrix file's chain that is reducible, and a periodic one
+    for power iteration, whose iterates oscillate on it unless the uniform
+    start is already stationary; ``matrix_from_json`` has refused one that
+    is not stochastic."""
     report = validate(matrix)
-    if report.negative_entries:
-        i, j = report.negative_entries[0]
-        raise ParameterError(f"matrix entry ({i}, {j}) is negative: {matrix.entry(i, j)}")
-    if report.bad_row_sums:
-        i, total = report.bad_row_sums[0]
-        raise ParameterError(f"matrix row {i} sums to {total}, not 1")
     if not report.irreducible:
         state = (report.unreachable or report.non_returning)[0]
         raise SolverError(f"the chain is reducible: states 0 and {state} do not communicate")

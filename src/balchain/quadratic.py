@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, isqrt, nextafter
 
-from .sequences import BALANCING, _require_int, term
+from .sequences import BALANCING, _is_int, _require_int, term
 
 __all__ = [
     "QuadInt",
@@ -33,16 +33,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadInt:
-    """Element a + b*sqrt(2) of the ring Z[sqrt(2)]."""
+    """Element a + b*sqrt(2) of the ring Z[sqrt(2)].  Its other operand
+    is a QuadInt or an int, not a bool, as for ``**``."""
 
     a: int
     b: int
 
     def __add__(self, other: QuadInt | int) -> QuadInt:
-        if isinstance(other, int):
-            return QuadInt(self.a + other, self.b)
         if isinstance(other, QuadInt):
             return QuadInt(self.a + other.a, self.b + other.b)
+        if _is_int(other):
+            return QuadInt(self.a + other, self.b)
         return NotImplemented
 
     __radd__ = __add__
@@ -51,19 +52,21 @@ class QuadInt:
         return QuadInt(-self.a, -self.b)
 
     def __sub__(self, other: QuadInt | int) -> QuadInt:
-        return self + (-other)
+        if isinstance(other, QuadInt) or _is_int(other):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other: int) -> QuadInt:
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other: QuadInt | int) -> QuadInt:
-        if isinstance(other, int):
-            return QuadInt(self.a * other, self.b * other)
         if isinstance(other, QuadInt):
             return QuadInt(
                 self.a * other.a + 2 * self.b * other.b,
                 self.a * other.b + self.b * other.a,
             )
+        if _is_int(other):
+            return QuadInt(self.a * other, self.b * other)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -70,7 +70,8 @@ class SimulationResult:
 
 
 def solve_exact(m: StochasticMatrix) -> list[Fraction]:
-    """Unique probability vector with pi*P == pi, as exact fractions.
+    """Unique probability vector with pi*P == pi, as exact fractions; takes
+    a stochastic matrix, as every ``StochasticMatrix`` is.
 
     Solves the balance equations of columns 1..n-1 together with the
     normalization sum(pi) == 1.  When every nonzero off column 0 lies on
@@ -85,7 +86,8 @@ def solve_exact(m: StochasticMatrix) -> list[Fraction]:
     ``den`` and reduces each entry of pi once, where Fraction arithmetic
     would take a gcd on every step.  Any other matrix goes to fraction
     Gaussian elimination.  Both routes solve the same system, so they
-    return equal fractions, and both raise SolverError when it is singular.
+    return equal fractions.  The band system is never singular (see
+    ``_solve_band``); elimination raises SolverError when its system is.
     """
     rows = m.numerators
     in_band = all(j == 0 or abs(j - i) <= 1 for i, cells in enumerate(rows) for j in cells)
@@ -106,7 +108,9 @@ def _solve_band(den: int, rows: tuple[dict[int, int], ...]) -> list[Fraction]:
     plain ints.  So pi is proportional to w[j] = x[j]*c[0]*...*c[j-1],
     divided by the weights' gcd, and each entry is reduced once, as w[j]
     over sum(w).  No column-0 cell is read, so cells (0, 0) and (1, 0)
-    count as column 0, not as band.
+    count as column 0, not as band.  The recurrence's solutions are the
+    multiples of x, and a stochastic matrix's stationary distribution is
+    one of them, so w is a positive multiple of it and sum(w) > 0.
     """
     n = len(rows)
     c = [rows[j][j + 1] for j in range(n - 1)]
@@ -122,8 +126,6 @@ def _solve_band(den: int, rows: tuple[dict[int, int], ...]) -> list[Fraction]:
     if g > 1:
         w = [v // g for v in w]
     total = sum(w)
-    if total == 0:
-        raise SolverError(_SINGULAR)
     return [Fraction(v, total) for v in w]
 
 
@@ -231,12 +233,11 @@ def _compile_step(
 
     Column j becomes ``w_j = 0.0 + v_i*p_ij + ...`` over its nonzeros with
     the rows i ascending, which is the loop's addition order.  The loop
-    skips a zero weight, whose term here is a signed zero.  A sum that
-    starts at +0.0 never becomes -0.0 under round-to-nearest, and adding
-    a zero of either sign to any other float leaves it unchanged, so the
-    two steps agree bit for bit.  Each p is written as ``repr(float)``,
-    which reads back exactly, so the source holds only names, ints and
-    float literals.  Long columns are summed in chunks of ``_CHUNK``
+    skips a zero weight, whose term here is +0.0, as no weight or cell is
+    negative, and adding +0.0 to a sum of such terms leaves it unchanged,
+    so the two steps agree bit for bit.  Each p is written as
+    ``repr(float)``, which reads back exactly, so the source holds only
+    names, ints and float literals.  Long columns are summed in chunks of ``_CHUNK``
     terms, ``w_j = w_j + ...``, which keeps the order.
     """
     n = len(rows)
@@ -280,43 +281,34 @@ def _int_mul(x: _IntRows, y: _IntRows) -> _IntRows:
 
 def _packed_mul(x: _IntRows, y: _IntRows, bound: int) -> _IntRows:
     """``_int_mul(x, y)`` by Kronecker substitution, for a ``bound`` on
-    the magnitude of every cell of y and of the product.
+    every cell of y and of the product, all of them >= 0.
 
     Row k of y becomes one int with cell j at bit s*j, for a slot width
-    s of whole bytes with bound < 2**(s-1).  Row i of the product is then
+    s of whole bytes with bound < 2**s.  Row i of the product is then
     sum(x[i][k] * packed[k]): one C-level big-int multiply-add per nonzero
-    of x.  Adding half a slot, 2**(s-1), to every slot up to the row's top
-    nonzero one leaves each slot in 1..2**s - 1 with no carry, so one
-    ``to_bytes`` lays the cells out, and each reads back as its slot less
-    the half.  Rows of y are packed the same way, biased and then
-    unbiased.  (D. Harvey, "Faster polynomial multiplication via
-    multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009;
-    R. P. Brent and P. Zimmermann, Modern Computer Arithmetic, 2010,
-    section 1.9.)
+    of x.  No slot carries into the next, so one ``to_bytes`` lays the
+    cells out, and each reads back as its slot.  (D. Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution",
+    J. Symbolic Comput. 44, 2009; R. P. Brent and P. Zimmermann, Modern
+    Computer Arithmetic, 2010, section 1.9.)
     """
     n = len(y)
     w = bound.bit_length() // 8 + 1
-    s = 8 * w
-    half = 1 << (s - 1)
-    zero = half.to_bytes(w, "little")
-    bias = int.from_bytes(zero * n, "little")
+    zero = bytes(w)
     packed = []
     for row in y:
         chunks = [zero] * n
         for j, v in row:
-            chunks[j] = (v + half).to_bytes(w, "little")
-        packed.append(int.from_bytes(b"".join(chunks), "little") - bias)
+            chunks[j] = v.to_bytes(w, "little")
+        packed.append(int.from_bytes(b"".join(chunks), "little"))
     from_bytes = int.from_bytes
     out = []
     for xi in x:
         r = sum([a * packed[k] for k, a in xi])
-        # a nonzero |r| lies in [2**(s*top - 1), 2**(s*top + s - 1)), top
-        # its highest nonzero slot, as every cell is below half in magnitude
-        top = abs(r).bit_length() // s
-        size = w * (top + 1)
-        data = (r + (bias >> (s * (n - 1 - top)))).to_bytes(size, "little")
+        size = (r.bit_length() + 7) // 8  # up to the top nonzero slot
+        data = r.to_bytes(size, "little")
         slots = [from_bytes(data[o : o + w], "little") for o in range(0, size, w)]
-        out.append([(j, v - half) for j, v in enumerate(slots) if v != half])
+        out.append([(j, v) for j, v in enumerate(slots) if v])
     return out
 
 
@@ -349,8 +341,8 @@ def _mul(x: _IntRows, y: _IntRows) -> _IntRows:
         lengths = [len(row) for row in y]
         work = sum([lengths[k] for xi in x for k, _ in xi])
         if work > slots:
-            top_x = max([abs(v) for xi in x for _, v in xi])
-            top_y = top_x if x is y else max([abs(v) for row in y for _, v in row])
+            top_x = max([v for xi in x for _, v in xi])
+            top_y = top_x if x is y else max([v for row in y for _, v in row])
             bits = max(top_x, top_y).bit_length()
             if bits <= _PACK_MAX_BITS and work * _PACK_BITS > slots * max(bits, _PACK_BITS):
                 return _packed_mul(x, y, max(map(len, x)) * top_x * top_y)
@@ -394,9 +386,7 @@ def simulate(
         raise ValueError(f"start state {start} outside 0..{n - 1}")
     targets = []
     cumulative = []
-    for i, cells in enumerate(m.numerators):
-        if not cells:
-            raise ValueError(f"row {i} has no nonzero entry")
+    for cells in m.numerators:
         acc = 0.0
         cum = []
         for v in cells.values():

@@ -31,7 +31,7 @@ from balchain.chains import (
     validate,
 )
 from balchain.cli import _make_family, main
-from balchain.steady import _solve_gauss, solve_exact
+from balchain.steady import _solve_gauss, n_step, solve_exact
 
 NOT_EXACT = 'an exact number is an int, a Fraction or a string like "1/6"'
 BUDGET = "decimal exponent past +-1000"
@@ -41,6 +41,14 @@ R = Fraction
 
 def frac_rows(m):
     return [[str(x) for x in m.row(i)] for i in range(m.n)]
+
+
+def normalised(rows):
+    """Each row of nonnegative weights over its sum; a zero row stays put."""
+    return [
+        [x / total for x in row] if (total := sum(row)) else [R(i == j) for j in range(len(row))]
+        for i, row in enumerate(rows)
+    ]
 
 
 def all_families(n=8):
@@ -359,23 +367,92 @@ def test_direct_chain_family_rejects_parameters_its_kind_does_not_take():
         build(ChainFamily("lucas", 5, q=R(1, 7)))
 
 
-def test_validate_reports_bad_row_sum():
+def test_constructor_refuses_a_bad_row_sum():
     rows = [
         [R(1, 2), R(1, 2), R(0)],
         [R(1, 3), R(1, 3), R(1, 3)],
         [R(1, 6), R(1, 6), R(9, 14)],  # sums to 41/42
     ]
-    report = validate(StochasticMatrix.from_rows(rows))
-    assert [i for i, _ in report.bad_row_sums] == [2]
-    assert report.bad_row_sums[0][1] == R(41, 42)
-    assert not report.ok
+    with pytest.raises(ParameterError, match=r"^matrix row 2 sums to 41/42, not 1$"):
+        StochasticMatrix.from_rows(rows)
 
 
-def test_validate_reports_negative_entry():
+def test_constructor_refuses_a_negative_entry():
     rows = [[R(3, 2), R(-1, 2)], [R(1, 2), R(1, 2)]]
-    report = validate(StochasticMatrix.from_rows(rows))
-    assert report.negative_entries == [(0, 1)]
-    assert not report.ok
+    with pytest.raises(ParameterError, match=r"^matrix entry \(0, 1\) is negative: -1/2$"):
+        StochasticMatrix.from_rows(rows)
+
+
+def matrix_readers(rows):
+    """``from_rows``, ``from_cells`` and ``matrix_from_json`` on the same
+    rows of string cells, each as a call."""
+    return (
+        lambda: from_constructor("from_rows", rows),
+        lambda: from_constructor("from_cells", rows),
+        lambda: matrix_from_json(json.dumps({"n": len(rows), "rows": rows})),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # the negative cell in row 2 is reported before row 0's sum of 5/6
+        ([["1/2", "1/3", "0"], ["0", "1", "0"], ["1/2", "1", "-1/2"]], "matrix entry (2, 2) is negative: -1/2"),
+        # the first negative cell in row-major order
+        ([["2", "-1"], ["-1", "2"]], "matrix entry (0, 1) is negative: -1"),
+        ([["1", "0"], ["0", "0"]], "matrix row 1 sums to 0, not 1"),
+        ([["1/3"]], "matrix row 0 sums to 1/3, not 1"),
+        ([["1/2", "1/2"], ["1/3", "1/3"]], "matrix row 1 sums to 2/3, not 1"),
+        # every cell is parsed before the matrix is checked
+        ([["-1", "2"], ["1", "x"]], "matrix cell 'x': Invalid literal for Fraction: 'x'"),
+    ],
+)
+def test_every_reader_refuses_a_matrix_that_is_not_stochastic(rows, message):
+    for read in matrix_readers(rows):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            read()
+
+
+# nonnegative weights: mixed and shared denominators and zeros
+weight_cells = st.one_of(
+    st.just(R(0)),
+    st.fractions(min_value=0, max_value=3, max_denominator=30),
+    st.sampled_from([R(1, 7), R(2, 49), R(5, 14), R(1, 6), R(1, 210)]),
+)
+square_rows = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(weight_cells, min_size=n, max_size=n), min_size=n, max_size=n)
+).map(normalised)
+
+
+@given(square_rows, st.data())
+def test_stochastic_rows_are_accepted_and_one_changed_cell_is_refused(rows, data):
+    n = len(rows)
+    m = StochasticMatrix.from_rows(rows)
+    assert m.rows() == [tuple(row) for row in rows]
+    p = n_step(m, 3)
+    assert StochasticMatrix.from_rows(p.rows()) == p
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    delta = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=20).filter(bool))
+    rows[i][j] += delta
+    if rows[i][j] < 0:
+        message = f"matrix entry ({i}, {j}) is negative: {rows[i][j]}"
+    else:
+        message = f"matrix row {i} sums to {1 + delta}, not 1"
+    for read in matrix_readers([[str(x) for x in row] for row in rows]):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            read()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unchecked_producers_give_matrices_the_check_accepts(kind):
+    # build, n_step and the JSON round trip skip the stochasticity check
+    spec = KINDS[kind]
+    for n in (spec.min_n, 9, 40):
+        for a in (2, 3, 7) if spec.takes_a else (None,):
+            for q in (R(1, a or 6), R(1, (a or 6) + 1), R(2, 99)) if spec.takes_q else (None,):
+                m = build(ChainFamily(kind, n, a, q))
+                for p in (m, n_step(m, 5), matrix_from_json(matrix_to_json(m))):
+                    assert StochasticMatrix.from_rows(p.rows()) == p
 
 
 def test_validate_reports_unreachable_state():
@@ -462,7 +539,7 @@ def test_band_shape_is_the_same_on_both_stores(monkeypatch, family):
 
 def test_band_shape_rejects_cells_off_the_pattern(monkeypatch):
     rows = [list(row) for row in build(balancing_chain(5)).rows()]
-    rows[1][3] = R(1, 100)
+    rows[1][3], rows[1][0] = R(1, 100), rows[1][0] - R(1, 100)
     m = StochasticMatrix.from_rows(rows)
     calls = []
     monkeypatch.setattr(steady, "_solve_gauss", lambda m: calls.append(m) or [])
@@ -475,17 +552,6 @@ def test_empty_matrix_is_rejected_at_construction():
         StochasticMatrix.from_rows([])
     with pytest.raises(ValueError, match="matrix has no states"):
         StochasticMatrix.from_cells(0, {})
-
-
-# mixed and shared denominators, negatives and zeros
-store_cells = st.one_of(
-    st.just(R(0)),
-    st.fractions(min_value=-3, max_value=3, max_denominator=30),
-    st.sampled_from([R(1, 7), R(2, 49), R(-5, 14), R(1, 6), R(1, 210)]),
-)
-square_rows = st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.lists(store_cells, min_size=n, max_size=n), min_size=n, max_size=n)
-)
 
 
 @given(square_rows)
@@ -525,16 +591,17 @@ def test_built_store_is_canonical(kind, n, a, q):
         assert m.den == (a or 6)
 
 
-def test_validate_reports_are_equal_on_both_stores():
-    cases = [build(f) for f in all_families()]
-    # a broken band matrix: negative cells, bad sums, a state nobody enters
+@given(square_rows)
+def test_validate_reports_are_equal_on_both_stores(rows):
+    cases = [build(f) for f in all_families()] + [StochasticMatrix.from_rows(rows)]
+    # a band matrix with mixed denominators and a state nobody enters
     cases.append(
         StochasticMatrix.from_cells(
             4,
             {
                 (0, 0): R(1),
                 (1, 0): R(1, 2), (1, 1): R(1, 4), (1, 2): R(1, 4),
-                (2, 0): R(1, 2), (2, 1): R(-1, 4), (2, 2): R(3, 4),
+                (2, 0): R(1, 2), (2, 1): R(1, 6), (2, 2): R(1, 3),
                 (3, 0): R(0), (3, 2): R(1, 2), (3, 3): R(1, 2),
             },
         )
@@ -596,10 +663,23 @@ def test_first_bad_cell_after_zeros_raises(n, data, bad):
         matrix_from_json(payload)
 
 
+def cell_read(read):
+    """The value cell (0, 0) was read as, its row's only nonzero: the
+    stored entry, or the value the stochasticity refusal names, not a
+    parse or budget error."""
+    try:
+        return read().entry(0, 0)
+    except ParameterError as exc:
+        refusal = r"matrix entry \(0, 0\) is negative: (\S+)|matrix row 0 sums to (\S+), not 1"
+        match = re.fullmatch(refusal, str(exc))
+        assert match, str(exc)
+        return R(match[1] or match[2])
+
+
 @pytest.mark.parametrize("cell", ["1e0", "0.5", "1e1000", "3E-1000", "-2.5e+3", " 1_0e0_2 "])
 def test_cells_within_the_exponent_budget_parse(cell):
     payload = json.dumps({"n": 1, "rows": [[cell]]})
-    assert matrix_from_json(payload).entry(0, 0) == R(cell)
+    assert cell_read(lambda: matrix_from_json(payload)) == R(cell)
 
 
 @pytest.mark.parametrize(
@@ -646,8 +726,7 @@ def test_constructors_reject_string_cells_past_the_exponent_budget(constructor, 
 @pytest.mark.parametrize("cell", ["1e0", "0.5", "1e1000", "3E-1000", "-2.5e+3", " 2e-1 "])
 @pytest.mark.parametrize("constructor", ["from_rows", "from_cells"])
 def test_constructor_string_cells_within_the_exponent_budget_parse(constructor, cell):
-    m = from_constructor(constructor, [[cell, "0"], ["0", "1"]])
-    assert m.entry(0, 0) == R(cell)
+    assert cell_read(lambda: from_constructor(constructor, [[cell, "0"], ["0", "1"]])) == R(cell)
 
 
 @pytest.mark.parametrize("q", ["0e1001", "1e-1001", "0e4000000", "1e" + "9" * 5000])

@@ -47,6 +47,27 @@ def test_qpow_examples():
             BETA**exponent
 
 
+@pytest.mark.parametrize(
+    "operation,at_one",
+    [
+        (lambda b: BETA * b, BETA),
+        (lambda b: b * BETA, BETA),
+        (lambda b: BETA + b, QuadInt(4, -2)),
+        (lambda b: b + BETA, QuadInt(4, -2)),
+        (lambda b: BETA - b, QuadInt(2, -2)),
+        (lambda b: b - BETA, QuadInt(-2, 2)),
+    ],
+    ids=["mul", "rmul", "add", "radd", "sub", "rsub"],
+)
+def test_ring_operations_refuse_bools(operation, at_one):
+    # the int rule of ``**``: before, BETA * True == BETA and
+    # BETA + True == 4-2√2
+    for b in (True, False):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            operation(b)
+    assert operation(1) == at_one
+
+
 def test_arithmetic_with_ints():
     assert BETA * 2 == QuadInt(6, -4)
     assert 2 * BETA == QuadInt(6, -4)

@@ -40,6 +40,14 @@ def symmetric_two_state():
     return StochasticMatrix.from_rows([[half, half], [half, half]])
 
 
+def normalised(rows):
+    """Each row of nonnegative weights over its sum; a zero row stays put."""
+    return [
+        [x / total for x in row] if (total := sum(row)) else [R(i == j) for j in range(len(row))]
+        for i, row in enumerate(rows)
+    ]
+
+
 def linf(float_vec, exact_vec):
     return max(abs(a - float(b)) for a, b in zip(float_vec, exact_vec))
 
@@ -242,17 +250,9 @@ def lazy_rows(rows, eps):
         lazy_rows([[R(1 + i + j, 10 + 4 * i) for j in range(4)] for i in range(4)], R(1, 200)),
         # state 2 is never entered: its weight is 0.0 after one step and
         # its column is empty
-        [[R(999, 1000), R(1, 1000), R(0)], [R(1, 500), R(498, 500), R(0)], [R(1, 2), R(1, 2), R(0)]],
-        # not stochastic: state 2 is never entered, so from step 2 on its
-        # negative cell adds -0.0, the only term of column 3
-        [
-            [R(999, 1000), R(1, 1000), R(0), R(0)],
-            [R(1, 500), R(498, 500), R(0), R(0)],
-            [R(1, 2), R(3, 4), R(0), R(-1, 4)],
-            [R(0), R(1), R(0), R(0)],
-        ],
+        [[R(999, 1000), R(1, 1000), R(0)], [R(2, 500), R(498, 500), R(0)], [R(1, 2), R(1, 2), R(0)]],
     ],
-    ids=["full", "zero-weight", "negative"],
+    ids=["full", "zero-weight"],
 )
 def test_compiled_step_matches_the_loop_off_the_band(monkeypatch, rows):
     m = StochasticMatrix.from_rows(rows)
@@ -333,16 +333,17 @@ def naive_power(m, k):
     return power
 
 
-cell_values = st.one_of(
+weight_values = st.one_of(
     st.just(R(0)),
-    st.fractions(min_value=-2, max_value=2, max_denominator=12),
+    st.fractions(min_value=0, max_value=2, max_denominator=12),
 )
 
 
 @st.composite
 def square_matrices(draw):
     n = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(cell_values, min_size=n, max_size=n), min_size=n, max_size=n))
+    weights = draw(st.lists(st.lists(weight_values, min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = normalised(weights)
     source = draw(st.sampled_from(["rows", "cells", "json"]))
     if source == "cells":
         cells = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
@@ -353,8 +354,8 @@ def square_matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(square_matrices(), st.integers(1, 40))
-@example(StochasticMatrix.from_rows([[R(0), R(0)], [R(-1, 3), R(4, 5)]], label="m"), 3)
-@example(StochasticMatrix.from_rows([[R(0)]], label="m"), 5)
+@example(StochasticMatrix.from_rows([[R(0), R(1)], [R(1, 3), R(2, 3)]], label="m"), 3)
+@example(StochasticMatrix.from_rows([[R(1)]], label="m"), 5)
 def test_n_step_equals_repeated_products(m, k):
     p = n_step(m, k)
     assert p.rows() == naive_power(m, k)
@@ -370,12 +371,12 @@ def test_n_step_64_of_every_kind_equals_repeated_products(kind):
     assert n_step(m, 64).rows() == naive_power(m, 64)
 
 
-# magnitudes on both sides of a byte boundary of the slot width: 2**(8w-1)
-# is the first that a slot of w bytes cannot hold below its half
-half_slots = st.builds(lambda w, d: 2 ** (8 * w - 1) + d, st.integers(1, 3), st.integers(-1, 1))
-int_cells = st.one_of(
-    st.just(0), st.integers(-3, 3), half_slots, half_slots.map(lambda v: -v)
+# values on both sides of a byte boundary: a bound of 2**(8w-1) takes
+# slots of w + 1 bytes, and 2**(8w) is the first value w bytes cannot hold
+slot_edges = st.builds(
+    lambda w, e, d: 2 ** (8 * w - e) + d, st.integers(1, 3), st.integers(0, 1), st.integers(-1, 1)
 )
+int_cells = st.one_of(st.just(0), st.integers(1, 3), slot_edges)
 
 
 @st.composite
@@ -393,17 +394,17 @@ def int_factors(draw):
 @given(int_factors(), st.booleans())
 @example(([[]], [[]]), True)
 @example(([[(0, 1)]], [[(0, 127)]]), True)
-@example(([[(0, 1)]], [[(0, -128)]]), True)
-@example(([[(0, -1), (1, 1)], []], [[(1, 2**15 - 1)], [(1, -1)]]), True)
-# the row 2**s - 1 (cells -1, 1): its bit length s is where its top slot starts
-@example(([[(0, 1)], []], [[(0, -1), (1, 1)], []]), True)
+@example(([[(0, 1)]], [[(0, 128)]]), True)
+@example(([[(0, 1), (1, 1)], []], [[(1, 2**15 - 1)], [(1, 1)]]), True)
+# the top slot of the product row 255 + 2**16 is read from one byte
+@example(([[(0, 1)], []], [[(0, 255), (1, 1)], []]), True)
 def test_packed_product_equals_the_sparse_one(factors, tight):
     x, y = factors
     expected = steady._int_mul(x, y)
-    top_x = max((abs(v) for row in x for _, v in row), default=0)
-    top_y = max((abs(v) for row in y for _, v in row), default=0)
-    if tight:  # the least valid bound: the product's largest magnitude
-        bound = max((abs(v) for row in expected for _, v in row), default=0)
+    top_x = max((v for row in x for _, v in row), default=0)
+    top_y = max((v for row in y for _, v in row), default=0)
+    if tight:  # the least valid bound: the product's largest cell
+        bound = max((v for row in expected for _, v in row), default=0)
     else:  # the bound _mul passes
         bound = max(map(len, x)) * top_x * top_y
     # the slots hold y's cells too, as _mul's bound does unless x is zero
@@ -506,11 +507,9 @@ def solve_or_singular(solver, m):
         return "singular"
 
 
-# zero and negative cells included: the band route must match elimination
-# on any column-0 + band system, stochastic or not
-band_cells = st.sampled_from(
-    [R(0), R(0), R(1), R(1, 2), R(1, 3), R(1, 6), R(5, 6), R(-1, 4), R(3, 2)]
-)
+# weights of stochastic band rows, zero cells included: the band route
+# must match elimination on any column-0 + band chain
+band_cells = st.sampled_from([R(0), R(0), R(1), R(1, 2), R(1, 3), R(1, 6), R(5, 6), R(3, 2)])
 
 
 @st.composite
@@ -525,8 +524,9 @@ def in_band(m):
 
 
 def band_rows(arrays):
-    """Dense rows from (col0, sub, diag, sup); column 0 wins where a band
-    slot falls on it, and slots off the matrix are dropped."""
+    """Dense stochastic rows from the weights (col0, sub, diag, sup); column
+    0 wins where a band slot falls on it, slots off the matrix are dropped,
+    and each row is normalised."""
     col0, sub, diag, sup = arrays
     n = len(col0)
     rows = [[R(0)] * n for _ in range(n)]
@@ -535,11 +535,11 @@ def band_rows(arrays):
             if 0 < j < n:
                 rows[i][j] = x
         rows[i][0] = col0[i]
-    return rows
+    return normalised(rows)
 
 
 @given(band_matrices())
-# denominators whose lcm is large: 994 * 11 * 13
+# weights over 994, 11 and 13: the normalised store's den is some 1.9e12
 @example(
     [
         [R(1, 2), R(1, 994), R(3, 7), R(5, 11)],
@@ -548,13 +548,13 @@ def band_rows(arrays):
         [R(3, 7), R(1, 994), R(2, 13), R(0)],
     ]
 )
-# a negative superdiagonal cell
+# a zero superdiagonal cell, so elimination
 @example(
     [
         [R(1, 2), R(1, 3), R(1, 6), R(1, 2)],
         [R(0), R(1, 3), R(1, 2), R(1, 4)],
         [R(1, 3), R(1, 6), R(5, 6), R(1, 4)],
-        [R(1, 6), R(-1, 4), R(1, 3), R(0)],
+        [R(1, 6), R(0), R(1, 3), R(0)],
     ]
 )
 @example([[R(1, 3)], [R(0)], [R(0)], [R(0)]])  # n = 1
@@ -568,8 +568,10 @@ def test_band_route_equals_gaussian_elimination(arrays):
 
 
 def test_band_route_singular_system_raises_both_ways():
-    # pi = (-1, 1) solves both column equations, so sum(pi) == 0
-    m = StochasticMatrix.from_rows([[R(1, 2), R(1, 2)], [R(0), R(3, 2)]])
+    # a band chain with every superdiagonal cell nonzero has one stationary
+    # vector, so a singular one has a zero there, here (0, 1): states 0 and
+    # {1, 2} are closed classes, and solve_exact takes elimination
+    m = StochasticMatrix.from_rows([[1, 0, 0], [0, R(1, 2), R(1, 2)], [0, R(1, 3), R(2, 3)]])
     messages = set()
     for solver in (solve_exact, _solve_gauss):
         with pytest.raises(SolverError) as raised:
@@ -698,9 +700,3 @@ def test_simulate_float_drift_stays_on_possible_targets(monkeypatch, family):
     for start in (2, 3, 4):
         result = simulate(m, steps=1, seed=0, start=start)
         assert result.visits[start + 1] == 1
-
-
-def test_simulate_rejects_a_row_without_targets():
-    m = StochasticMatrix.from_rows([[R(1), R(0)], [R(0), R(0)]])
-    with pytest.raises(ValueError):
-        simulate(m, steps=10, seed=1)
