@@ -1,12 +1,13 @@
 """Closed-form stationary vectors and mechanized cross-checks.
 
 For every chain family the stationary distribution has a closed form in
-balancing-type numbers.  ``verify_family`` recomputes it from the sequence
-recurrences and demands exact fraction equality with ``solve_exact``, which
-solves the balance equations from the matrix entries alone and so shares
-nothing with the sequence recurrences.  The truncation study bounds how
-fast the finite chains approach the infinite-state limit, with certified
-rational error bounds.
+balancing-type numbers.  ``verify_family`` recomputes its integer weights
+from the sequence recurrences and demands that ``solve_exact``'s vector,
+which solves the balance equations from the matrix entries alone and so
+shares nothing with the sequence recurrences, equals those weights over
+their sum exactly, decided by cross-multiplying integers.  The truncation
+study bounds how fast the finite chains approach the infinite-state limit,
+with certified rational error bounds.
 """
 
 from __future__ import annotations
@@ -77,9 +78,19 @@ class QInvarianceReport:
     vector: list[Fraction]
 
 
-def _normalized_suffix(values: list[int]) -> list[Fraction]:
-    total = sum(values)
-    return [Fraction(v, total) for v in reversed(values)]
+def _require_list(name: str, value: object) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"{name} must be a list or tuple, got {type(value).__name__}")
+
+
+def _weights(family: ChainFamily) -> list[int]:
+    """The closed form's integer weights x(n), ..., x(1): pi[i] is x(n-i)
+    over their sum."""
+    if not isinstance(family, ChainFamily):
+        raise ParameterError(f"family must be a ChainFamily, got {family!r}")
+    spec = KINDS[family.kind]
+    kind = SequenceKind(spec.name, RecurrenceSpec(family.coeff, 0, spec.x0, 1))
+    return sequence(kind, family.n + 1)[:0:-1]
 
 
 def closed_form(family: ChainFamily) -> list[Fraction]:
@@ -89,20 +100,35 @@ def closed_form(family: ChainFamily) -> list[Fraction]:
     x(1) = 1 and the kind's x(0).  x(0) = 0 makes x(k) the balancing number
     B(k) (the order-a sequence for a kind with a), 1 makes it B(k)-B(k-1),
     and 3 and -1 make it the Lucas-balancing C(k-1) and Lucas-cobalancing
-    c(k-1) numbers.
+    c(k-1) numbers.  A ``family`` that is not a ChainFamily raises
+    ParameterError.
     """
-    spec = KINDS[family.kind]
-    weights = SequenceKind(spec.name, RecurrenceSpec(family.coeff, 0, spec.x0, 1))
-    return _normalized_suffix(sequence(weights, family.n + 1)[1:])
+    x = _weights(family)
+    total = sum(x)
+    return [Fraction(v, total) for v in x]
 
 
 def verify_family(family: ChainFamily) -> VerificationReport:
-    """Compare the closed form against the exact solver, entry by entry."""
-    predicted = closed_form(family)
+    """Compare the closed form against the exact solver, entry by entry.
+
+    The match is decided on integers: with x the closed form's weights and
+    S their sum, each solved entry s must have s.numerator*S equal to
+    x[i]*s.denominator, which is exact whether or not x[i]/S is reduced.
+    On a match ``predicted`` is a copy of ``solved``, the same values; only
+    a mismatch builds the closed form's Fractions and its largest gap.  A
+    ``family`` that is not a ChainFamily raises ParameterError.
+    """
+    x = _weights(family)
     solved = solve_exact(build(family))
-    exact_match = predicted == solved
-    max_gap = Fraction(0)
-    if not exact_match:
+    total = sum(x)
+    exact_match = len(x) == len(solved) and all(
+        s.numerator * total == v * s.denominator for v, s in zip(x, solved)
+    )
+    if exact_match:
+        predicted = list(solved)
+        max_gap = Fraction(0)
+    else:
+        predicted = [Fraction(v, total) for v in x]
         max_gap = max(abs(p - s) for p, s in zip(predicted, solved))
     return VerificationReport(
         family=family,
@@ -120,11 +146,13 @@ def q_invariance(
     """Check the stationary vector is the same fraction vector for every q.
 
     ``kind`` is a q-free kind whose q-family is registered as ``kind + "-q"``;
-    ``a`` is given exactly when the kind takes it.
+    ``a`` is given exactly when the kind takes it.  ``q_values`` is a
+    non-empty list or tuple, read once.
     """
     q_kind = kind + "-q"
     if kind not in KINDS or q_kind not in KINDS:
         raise ParameterError(f"no q-parameterized variant for {kind!r}")
+    _require_list("q_values", q_values)
     if not q_values:
         raise ParameterError("q_invariance needs at least one q")
     base_vector = solve_exact(build(ChainFamily(kind, base_n, a)))
@@ -170,7 +198,9 @@ def truncation_gap_bound(n: int, digits: int = 50) -> Fraction:
 
 def truncation_convergence(sizes: list[int], digits: int = 50) -> list[tuple[int, float]]:
     """(n, truncation_gap_bound(n, digits)) rounded up to a float, for each
-    requested size: a bound over the first min(n, 8) entries."""
+    requested size: a bound over the first min(n, 8) entries.  ``sizes``
+    is a list or tuple, or ParameterError is raised."""
+    _require_list("sizes", sizes)
     if not sizes:
         raise ValueError("need at least one size")
     return [(n, float_upper(truncation_gap_bound(n, digits))) for n in sizes]

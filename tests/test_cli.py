@@ -383,11 +383,13 @@ def test_out_to_a_directory_is_a_parameter_error(capsys, tmp_path):
 def test_verify_failure_reports_on_stdout_and_stderr(capsys, monkeypatch):
     from balchain import verify
 
-    def off_by_one(family):
-        pi = verify.solve_exact(verify.build(family))
-        return [pi[-1], *pi[:-1]]
+    weights = verify._weights
 
-    monkeypatch.setattr(verify, "closed_form", off_by_one)
+    def off_by_one(family):
+        x = weights(family)
+        return [x[-1], *x[:-1]]
+
+    monkeypatch.setattr(verify, "_weights", off_by_one)
     code, out, err = run_cli(capsys, "verify", "lucas", "--n", "5")
     assert code == 3
     assert out.splitlines()[1].startswith("lucas,5,,False,")

@@ -1,10 +1,13 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from balchain import quadratic, verify
 from balchain.chains import (
+    KINDS,
+    ChainFamily,
     ParameterError,
     balancing_chain,
     balancing_chain_q,
@@ -87,6 +90,59 @@ def test_verify_family_matches(family):
     assert report.predicted == report.solved
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_family_reports_the_closed_form_and_the_solver(kind):
+    spec = KINDS[kind]
+    rng = random.Random(kind)
+    for n in range(spec.min_n, 41):
+        a = rng.randint(2, 12) if spec.takes_a else None
+        den = rng.randint(1, 50)
+        q = R(rng.randint(1, den), den * (a or 6)) if spec.takes_q else None
+        family = ChainFamily(kind, n, a, q)
+        report = verify_family(family)
+        assert report.exact_match and report.max_gap == 0
+        assert report.predicted == closed_form(family)
+        assert report.solved == solve_exact(build(family))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        balancing_chain(5),
+        lucas_cobalancing_chain(7),
+        balancing_like_chain(6, 2),
+        balancing_chain_q(9, R(1, 7)),
+        truncated_infinite_chain(12),
+    ],
+    ids=lambda f: f.label,
+)
+def test_verify_family_decides_on_the_weights(monkeypatch, family):
+    x = verify._weights(family)
+    assert closed_form(family) == [R(v, sum(x)) for v in x]
+    solved = solve_exact(build(family))
+    changed = [[*x[:i], x[i] + d, *x[i + 1 :]] for i in range(len(x)) for d in (1, -1)]
+    # a trailing zero weight keeps the sum: only the length tells it apart
+    for mutant in (*changed, x[::-1], [*x, 0]):
+        monkeypatch.setattr(verify, "_weights", lambda f, m=mutant: list(m))
+        report = verify_family(family)
+        pi = [R(v, sum(mutant)) for v in mutant]
+        assert report.exact_match is False
+        assert report.predicted == pi
+        assert report.max_gap == max(abs(p - s) for p, s in zip(pi, solved))
+    # proportional weights are the same pi
+    monkeypatch.setattr(verify, "_weights", lambda f: [2 * v for v in x])
+    report = verify_family(family)
+    assert report.exact_match and report.max_gap == 0
+    assert report.predicted == solved
+
+
+@pytest.mark.parametrize("check", [verify_family, closed_form])
+@pytest.mark.parametrize("family", ["balancing", None])
+def test_family_must_be_a_chain_family(check, family):
+    with pytest.raises(ParameterError, match=f"^family must be a ChainFamily, got {family!r}$"):
+        check(family)
+
+
 def test_notes_record_index_discrepancy():
     for family in (pell_ratio_chain(5), lucas_chain(5), lucas_cobalancing_chain(5)):
         notes = verify_family(family).notes
@@ -149,6 +205,15 @@ def test_q_invariance_rejects_an_empty_q_list_before_solving(monkeypatch):
         q_invariance(8, [], "balancing")
 
 
+@pytest.mark.parametrize(
+    "q_values, got", [(iter([]), "list_iterator"), ("1/7", "str"), ({R(1, 7)}, "set")]
+)
+def test_q_invariance_needs_a_list_or_tuple(q_values, got):
+    with pytest.raises(ParameterError, match=f"^q_values must be a list or tuple, got {got}$"):
+        q_invariance(8, q_values, "balancing")
+    assert q_invariance(8, (R(1, 7),), "balancing").identical
+
+
 def test_beta_power_row_needs_a_size():
     assert verify.beta_power_row(1)["exact_match"] is True
     for max_n in (0, -3, 2.0, True):
@@ -191,6 +256,10 @@ def test_truncation_gap_examples():
         truncation_gap_bound(2)
     with pytest.raises(ValueError):
         truncation_convergence([])
+    for sizes, got in ((5, "int"), (iter([5]), "list_iterator")):
+        with pytest.raises(ParameterError, match=f"^sizes must be a list or tuple, got {got}$"):
+            truncation_convergence(sizes)
+    assert truncation_convergence((5,)) == truncation_convergence([5])
 
 
 def test_truncation_first_entry_at_forty():
