@@ -1,8 +1,9 @@
 """Stationary distributions by three independent routes.
 
-* solve_exact    -- exact fractions from the balance equations: an O(n)
-                    back-substitution when the chain is column 0 plus a
-                    tridiagonal band, fraction Gaussian elimination otherwise
+* solve_exact    -- exact fractions from the balance equations: an O(nnz)
+                    back-substitution when no row jumps up by more than
+                    one state (the chain is skip-free to the right),
+                    fraction Gaussian elimination otherwise
 * power_iteration -- float fixed-point iteration of v <- v*P; a chain
                     that runs past a few hundred iterations switches to
                     a step compiled to straight-line code, which makes
@@ -21,10 +22,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress
-from math import gcd, inf
+from itertools import compress
+from math import gcd, inf, prod
 from numbers import Real
-from operator import mul
 
 from .chains import StochasticMatrix
 from .sequences import _require_int
@@ -74,59 +74,56 @@ def solve_exact(m: StochasticMatrix) -> list[Fraction]:
     a stochastic matrix, as every ``StochasticMatrix`` is.
 
     Solves the balance equations of columns 1..n-1 together with the
-    normalization sum(pi) == 1.  When every nonzero off column 0 lies on
-    the tridiagonal band and every superdiagonal entry P[j-1][j] is
-    nonzero, the balance equation of column j >= 1 is the three-term
-    recurrence (the last term is absent at j == n-1)
-
-        P[j-1][j]*pi[j-1] + P[j][j]*pi[j] + P[j+1][j]*pi[j+1] == pi[j],
-
-    so pi is back-substituted from pi[n-1] = 1 in O(n) and then normalized.
-    The back-substitution runs on the matrix's own int numerators over its
-    ``den`` and reduces each entry of pi once, where Fraction arithmetic
-    would take a gcd on every step.  Any other matrix goes to fraction
+    normalization sum(pi) == 1.  When the chain is skip-free to the right
+    (P[i][j] == 0 for j > i + 1: no row jumps up by more than one state)
+    and every superdiagonal entry P[j-1][j] is nonzero, column j's
+    equation gives pi[j-1] from pi[j..n-1], so pi is back-substituted in
+    O(nnz) on the matrix's int numerators (``_skip_free_weights``) and
+    each entry is reduced once.  Any other matrix goes to fraction
     Gaussian elimination.  Both routes solve the same system, so they
-    return equal fractions.  The band system is never singular (see
-    ``_solve_band``); elimination raises SolverError when its system is.
+    return equal fractions.  The skip-free system is never singular;
+    elimination raises SolverError when its system is.
     """
-    rows = m.numerators
-    in_band = all(j == 0 or abs(j - i) <= 1 for i, cells in enumerate(rows) for j in cells)
-    if in_band and all(rows[j].get(j + 1) for j in range(m.n - 1)):
-        return _solve_band(m.den, rows)
-    return _solve_gauss(m)
-
-
-def _solve_band(den: int, rows: tuple[dict[int, int], ...]) -> list[Fraction]:
-    """Back-substitute the column balance recurrence on int numerators over
-    ``den``; every superdiagonal cell rows[j][j+1] is nonzero.
-
-    With b[j], s[j] and c[j] the numerators of the sub-, main and
-    superdiagonal cells of row j, the recurrence scaled by den is
-    c[j-1]*pi[j-1] == (den - s[j])*pi[j] - b[j+1]*pi[j+1].  Writing
-    pi[j] = x[j] / (c[j]*...*c[n-2]) clears the division:
-    x[j-1] = x[j]*(den - s[j]) - x[j+1]*b[j+1]*c[j] from x[n-1] = 1, all on
-    plain ints.  So pi is proportional to w[j] = x[j]*c[0]*...*c[j-1],
-    divided by the weights' gcd, and each entry is reduced once, as w[j]
-    over sum(w).  No column-0 cell is read, so cells (0, 0) and (1, 0)
-    count as column 0, not as band.  The recurrence's solutions are the
-    multiples of x, and a stochastic matrix's stationary distribution is
-    one of them, so w is a positive multiple of it and sum(w) > 0.
-    """
-    n = len(rows)
-    c = [rows[j][j + 1] for j in range(n - 1)]
-    x = [0] * n
-    x[n - 1] = 1
-    for j in range(n - 1, 0, -1):
-        v = x[j] * (den - rows[j].get(j, 0))
-        if j + 1 < n:
-            v -= x[j + 1] * rows[j + 1].get(j, 0) * c[j]
-        x[j - 1] = v
-    w = [v * p for v, p in zip(x, accumulate(c, mul, initial=1))]
-    g = gcd(*w)  # can be large: about 7**n for lucas-cobalancing
-    if g > 1:
-        w = [v // g for v in w]
+    w = _skip_free_weights(m.den, m.numerators)
+    if w is None:
+        return _solve_gauss(m)
     total = sum(w)
     return [Fraction(v, total) for v in w]
+
+
+def _skip_free_weights(den: int, rows: tuple[dict[int, int], ...]) -> list[int] | None:
+    """Weights of pi with gcd 1 when no cell has j > i + 1 and every
+    c[j] = rows[j][j+1] is nonzero; None otherwise.
+
+    Column j's balance equation over ``den`` reads c[j-1]*w[j-1] ==
+    den*w[j] - sum(w[i]*rows[i][j] for i >= j).  From w[n-1] = c[0]*...*
+    c[n-2] each w[j-1] is an exact int division, as w[j] is a multiple of
+    c[0]*...*c[j-1], and column 0 is never read.  Every state reaches n-1
+    along the superdiagonal, so there is one closed class and one
+    stationary vector, of which w is a positive multiple (0 on transient
+    states).  One pass over the rows from n-1 down reads each cell once:
+    it checks the shape and adds row i's cells into the sums of their
+    columns as soon as w[i] is known.
+    """
+    n = len(rows)
+    c = [rows[j].get(j + 1) for j in range(n - 1)]
+    if not all(c):
+        return None
+    w = [0] * n
+    w[-1] = prod(c)
+    inflow = [0] * n  # inflow[j]: sum of w[i]*rows[i][j] over the rows read
+    for i in range(n - 1, -1, -1):
+        wi = w[i]
+        for j, v in rows[i].items():
+            if j <= i:
+                if j:
+                    inflow[j] += wi * v
+            elif j > i + 1:
+                return None
+        if i:
+            w[i - 1] = (den * wi - inflow[i]) // c[i - 1]
+    g = gcd(*w)  # can be large: about 7**n for lucas-cobalancing
+    return [v // g for v in w] if g > 1 else w
 
 
 def _solve_gauss(m: StochasticMatrix) -> list[Fraction]:

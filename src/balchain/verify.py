@@ -147,11 +147,12 @@ def q_invariance(
 
     ``kind`` is a q-free kind whose q-family is registered as ``kind + "-q"``;
     ``a`` is given exactly when the kind takes it.  ``q_values`` is a
-    non-empty list or tuple, read once.
+    non-empty list or tuple, read once.  A ``kind`` that is not such a
+    kind's name, a non-string included, raises ParameterError.
     """
-    q_kind = kind + "-q"
-    if kind not in KINDS or q_kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS or kind + "-q" not in KINDS:
         raise ParameterError(f"no q-parameterized variant for {kind!r}")
+    q_kind = kind + "-q"
     _require_list("q_values", q_values)
     if not q_values:
         raise ParameterError("q_invariance needs at least one q")
@@ -250,7 +251,10 @@ def _row(label: str, n: int, params: dict, ok: bool, max_gap: str, notes: str) -
 
 
 def report_row(report: VerificationReport) -> dict:
-    """The summary row of one family check, as the verify command reports it."""
+    """The summary row of one family check, as the verify command reports
+    it; a ``report`` that is not a VerificationReport raises ParameterError."""
+    if not isinstance(report, VerificationReport):
+        raise ParameterError(f"report must be a VerificationReport, got {report!r}")
     f = report.family
     params: dict = {}
     if f.a is not None:
@@ -307,6 +311,9 @@ def beta_power_row(max_n: int) -> dict:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
+    """The rows as the verify command's CSV; ``rows`` is a list or tuple,
+    or ParameterError is raised."""
+    _require_list("rows", rows)
     lines = ["family,n,params,exact_match,max_gap"]
     for r in rows:
         params = ";".join(f"{k}={v}" for k, v in r["params"].items())

@@ -500,20 +500,21 @@ def test_entry_bounds_checked():
                 call()
 
 
-def solve_by_band_route(monkeypatch, m):
+def solve_by_skip_free_route(monkeypatch, m):
     """solve_exact(m), failing if it falls back to elimination."""
 
     def no_elimination(m):
-        raise AssertionError("band-shaped chain fell back to elimination")
+        raise AssertionError("skip-free chain fell back to elimination")
 
     with monkeypatch.context() as patch:
         patch.setattr(steady, "_solve_gauss", no_elimination)
         return solve_exact(m)
 
 
-def test_band_store_collisions_resolve_to_column_zero(monkeypatch):
-    # cells (0, 0) and (1, 0) lie on column 0 and on the band; the band
-    # solver never reads column 0, so they take the band route unharmed
+def test_skip_free_route_never_reads_column_zero(monkeypatch):
+    # cells (0, 0) and (1, 0) lie on column 0 and within one step of the
+    # diagonal; the skip-free route never reads column 0, whose balance
+    # equation is the redundant one, so they take that route unharmed
     z, h, k = R(0), R(1, 2), R(1, 4)
     m = StochasticMatrix.from_rows([[h, h, z], [h, k, k], [R(5, 6), R(1, 6), z]])
     assert m.nonzeros(0) == [(0, h), (1, h)]
@@ -522,7 +523,7 @@ def test_band_store_collisions_resolve_to_column_zero(monkeypatch):
     assert m.nonzero_count() == 7
     assert m.den == 12
     assert m.numerators == ({0: 6, 1: 6}, {0: 6, 1: 3, 2: 3}, {0: 10, 1: 2})
-    assert solve_by_band_route(monkeypatch, m) == _solve_gauss(m)
+    assert solve_by_skip_free_route(monkeypatch, m) == _solve_gauss(m)
     assert validate(m).ok
 
 
@@ -534,7 +535,7 @@ def test_band_shape_is_the_same_on_both_stores(monkeypatch, family):
     assert (dense.den, dense.numerators) == (banded.den, banded.numerators)
     for i in range(dense.n):
         assert dense.nonzeros(i) == banded.nonzeros(i)
-    assert solve_by_band_route(monkeypatch, dense) == solve_by_band_route(monkeypatch, banded)
+    assert solve_by_skip_free_route(monkeypatch, dense) == solve_by_skip_free_route(monkeypatch, banded)
 
 
 def test_band_shape_rejects_cells_off_the_pattern(monkeypatch):

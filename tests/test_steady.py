@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -507,8 +508,9 @@ def solve_or_singular(solver, m):
         return "singular"
 
 
-# weights of stochastic band rows, zero cells included: the band route
-# must match elimination on any column-0 + band chain
+# weights of stochastic band rows, zero cells included: column 0 plus a
+# tridiagonal band is skip-free, so every such chain must solve as by
+# elimination
 band_cells = st.sampled_from([R(0), R(0), R(1), R(1, 2), R(1, 3), R(1, 6), R(5, 6), R(3, 2)])
 
 
@@ -518,9 +520,9 @@ def band_matrices(draw):
     return [draw(st.lists(band_cells, min_size=n, max_size=n)) for _ in range(4)]
 
 
-def in_band(m):
-    """Every nonzero of m off column 0 lies on the tridiagonal band."""
-    return all(j == 0 or abs(j - i) <= 1 for i, cells in enumerate(m.numerators) for j in cells)
+def skip_free(m):
+    """No row of m jumps up by more than one state: no nonzero has j > i + 1."""
+    return all(j <= i + 1 for i, cells in enumerate(m.numerators) for j in cells)
 
 
 def band_rows(arrays):
@@ -559,18 +561,19 @@ def band_rows(arrays):
 )
 @example([[R(1, 3)], [R(0)], [R(0)], [R(0)]])  # n = 1
 @example([[R(2, 3), R(1, 4)], [R(0), R(1, 4)], [R(0), R(1, 2)], [R(1, 3), R(0)]])  # n = 2
-def test_band_route_equals_gaussian_elimination(arrays):
+def test_band_chains_solve_as_by_gaussian_elimination(arrays):
     dense = StochasticMatrix.from_rows(band_rows(arrays))
     reference = solve_or_singular(_solve_gauss, dense)
     for m in (dense, matrix_from_json(matrix_to_json(dense))):
-        assert in_band(m)
+        assert skip_free(m)
         assert solve_or_singular(solve_exact, m) == reference
 
 
-def test_band_route_singular_system_raises_both_ways():
-    # a band chain with every superdiagonal cell nonzero has one stationary
-    # vector, so a singular one has a zero there, here (0, 1): states 0 and
-    # {1, 2} are closed classes, and solve_exact takes elimination
+def test_skip_free_singular_system_raises_both_ways():
+    # a skip-free chain with every superdiagonal cell nonzero has one
+    # stationary vector, so a singular one has a zero there, here (0, 1):
+    # states 0 and {1, 2} are closed classes, and solve_exact takes
+    # elimination
     m = StochasticMatrix.from_rows([[1, 0, 0], [0, R(1, 2), R(1, 2)], [0, R(1, 3), R(2, 3)]])
     messages = set()
     for solver in (solve_exact, _solve_gauss):
@@ -579,8 +582,8 @@ def test_band_route_singular_system_raises_both_ways():
         messages.add(str(raised.value))
     assert len(messages) == 1
     assert "periodic" not in messages.pop()
-    # a periodic irreducible chain off the band, 0 -> 2 -> 1 -> 3 -> 0, is
-    # not singular
+    # a periodic irreducible chain that jumps up by two, 0 -> 2 -> 1 -> 3
+    # -> 0, is not singular
     cycle = StochasticMatrix.from_cells(4, {(0, 2): 1, (2, 1): 1, (1, 3): 1, (3, 0): 1})
     assert validate(cycle).period == 4
     for solver in (solve_exact, _solve_gauss):
@@ -653,7 +656,7 @@ def test_zero_superdiagonal_falls_back_to_elimination(monkeypatch):
 def test_full_matrix_solves_by_elimination(monkeypatch):
     rows = [[R(1 + i + j, 10 + 4 * i) for j in range(4)] for i in range(4)]
     m = StochasticMatrix.from_rows(rows)
-    assert not in_band(m)
+    assert not skip_free(m)
     expected = _solve_gauss(m)
     assert sum(expected) == 1
     calls = []
@@ -662,7 +665,13 @@ def test_full_matrix_solves_by_elimination(monkeypatch):
     assert calls == [m]
 
 
-# "banded": built from the family's cells; "dense": read back from dense rows
+def no_elimination(m):
+    raise AssertionError("skip-free chain fell back to elimination")
+
+
+# every family is skip-free with a nonzero superdiagonal, so none of them
+# is eliminated; "banded": built from the family's cells; "dense": read
+# back from dense rows
 @pytest.mark.parametrize("source", ["dense", "banded"])
 @pytest.mark.parametrize("family", SOLVE_CASES, ids=lambda f: f.label)
 def test_families_take_the_band_route(monkeypatch, family, source):
@@ -670,12 +679,66 @@ def test_families_take_the_band_route(monkeypatch, family, source):
     if source == "dense":
         m = StochasticMatrix.from_rows(m.rows())
     expected = _solve_gauss(m)
-
-    def no_elimination(m):
-        raise AssertionError("band-shaped chain fell back to elimination")
-
     monkeypatch.setattr(steady, "_solve_gauss", no_elimination)
     assert solve_exact(m) == expected
+
+
+def test_skip_free_chain_off_the_band_takes_the_recurrence(monkeypatch):
+    # balancing(60) with 1/12 of each row i >= 3's collapse mass moved down
+    # to cell (i, i - 2): skip-free, but off the band
+    rows = [list(row) for row in build(balancing_chain(60)).rows()]
+    for i in range(3, 60):
+        moved = rows[i][0] / 12
+        rows[i][0] -= moved
+        rows[i][i - 2] += moved
+    m = StochasticMatrix.from_rows(rows)
+    assert skip_free(m) and any(0 < j < i - 1 for i, cells in enumerate(m.numerators) for j in cells)
+    expected = _solve_gauss(m)
+    monkeypatch.setattr(steady, "_solve_gauss", no_elimination)
+    assert solve_exact(m) == expected
+    assert_exactly_stationary(m, expected)
+
+
+# weights of skip-free rows: a superdiagonal cell, a diagonal cell and
+# 0-3 downward jumps to random lower states, any of them zero
+skip_free_cells = st.sampled_from([0, 0, 1, 2, 3, 7])
+
+
+@st.composite
+def skip_free_matrices(draw):
+    n = draw(st.integers(1, 11))
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        if i + 1 < n:
+            row[i + 1] = draw(skip_free_cells)
+        row[i] = draw(skip_free_cells)
+        if i:
+            for _ in range(draw(st.integers(0, 3))):
+                row[draw(st.integers(0, i - 1))] += draw(skip_free_cells)
+        if not any(row):
+            row[i] = 1
+        rows.append([R(w, sum(row)) for w in row])
+    return StochasticMatrix.from_rows(rows)
+
+
+@given(skip_free_matrices())
+# row 2 jumps down to 0 and to 1, row 1 keeps all its mass
+@example(StochasticMatrix.from_rows([[0, 1, 0], [0, R(2, 3), R(1, 3)], [R(1, 2), R(1, 2), 0]]))
+# state 2 is absorbing: the other states are transient, with weight 0
+@example(StochasticMatrix.from_rows([[R(1, 2), R(1, 2), 0], [R(1, 3), 0, R(2, 3)], [0, 0, 1]]))
+def test_skip_free_route_equals_gaussian_elimination(m):
+    assert skip_free(m)
+    assert solve_or_singular(solve_exact, m) == solve_or_singular(_solve_gauss, m)
+    weights = steady._skip_free_weights(m.den, m.numerators)
+    if all(m.numerators[j].get(j + 1) for j in range(m.n - 1)):
+        # one closed class, so weights, with gcd 1, and solve_exact is
+        # them over their sum; all positive exactly when it is every state
+        assert weights is not None and gcd(*weights) == 1 and min(weights) >= 0
+        assert solve_exact(m) == [R(w, sum(weights)) for w in weights]
+        assert (min(weights) > 0) == validate(m).irreducible
+    else:
+        assert weights is None
 
 
 class _TopDraw:

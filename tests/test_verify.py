@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,9 @@ def test_q_invariance_rejects_bad_parameters():
         q_invariance(8, [R(1, 7)], "balancing", a=4)  # a the kind does not take
     with pytest.raises(ParameterError):
         q_invariance(8, [R(1, 10)], "pell-ratio")  # no q-variant
+    for kind in (None, ["balancing"]):  # not a kind's name
+        with pytest.raises(ParameterError, match=f"^no q-parameterized variant for {re.escape(repr(kind))}$"):
+            q_invariance(8, [R(1, 7)], kind)
 
 
 def test_q_invariance_rejects_an_empty_q_list_before_solving(monkeypatch):
@@ -311,6 +315,20 @@ def test_report_serialization():
     assert lines[0] == "family,n,params,exact_match,max_gap"
     assert lines[1] == "lucas-cobalancing,4,,True,0"
     assert lines[2] == "balancing-like,5,a=3,True,0"
+
+
+@pytest.mark.parametrize("report", [None, {"family": "balancing"}])
+def test_report_row_needs_a_verification_report(report):
+    expected = f"^report must be a VerificationReport, got {re.escape(repr(report))}$"
+    with pytest.raises(ParameterError, match=expected):
+        report_row(report)
+
+
+@pytest.mark.parametrize("rows, got", [(None, "NoneType"), (iter([]), "list_iterator")])
+def test_rows_to_csv_needs_a_list_or_tuple(rows, got):
+    with pytest.raises(ParameterError, match=f"^rows must be a list or tuple, got {got}$"):
+        rows_to_csv(rows)
+    assert rows_to_csv(()) == rows_to_csv([]) == "family,n,params,exact_match,max_gap"
 
 
 NUDGE = R(1, 10**9)
