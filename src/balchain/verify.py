@@ -265,6 +265,10 @@ def report_row(report: VerificationReport) -> dict:
 
 
 def q_invariance_row(report: QInvarianceReport) -> dict:
+    """The summary row of one q-invariance check; a ``report`` that is not
+    a QInvarianceReport raises ParameterError."""
+    if not isinstance(report, QInvarianceReport):
+        raise ParameterError(f"report must be a QInvarianceReport, got {report!r}")
     params: dict = {"q": [str(q) for q in report.q_values]}
     if report.a is not None:
         params["a"] = report.a
@@ -310,13 +314,23 @@ def beta_power_row(max_n: int) -> dict:
     )
 
 
+_CSV_COLUMNS = ("family", "n", "params", "exact_match", "max_gap")
+
+
 def rows_to_csv(rows: list[dict]) -> str:
-    """The rows as the verify command's CSV; ``rows`` is a list or tuple,
-    or ParameterError is raised."""
+    """The rows as the verify command's CSV; ``rows`` is a list or tuple of
+    mappings that hold every column, ``params`` as a mapping, or
+    ParameterError is raised."""
     _require_list("rows", rows)
-    lines = ["family,n,params,exact_match,max_gap"]
+    lines = [",".join(_CSV_COLUMNS)]
     for r in rows:
-        params = ";".join(f"{k}={v}" for k, v in r["params"].items())
-        lines.append(f"{r['family']},{r['n']},{params},{r['exact_match']},{r['max_gap']}")
+        try:
+            params = ";".join(f"{k}={v}" for k, v in r["params"].items())
+            lines.append(f"{r['family']},{r['n']},{params},{r['exact_match']},{r['max_gap']}")
+        except (TypeError, KeyError, AttributeError):
+            columns = ", ".join(_CSV_COLUMNS)
+            raise ParameterError(
+                f"each row must be a mapping of {columns} with mapping params, got {r!r}"
+            ) from None
     return "\n".join(lines)
 

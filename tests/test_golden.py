@@ -151,7 +151,7 @@ GOLDEN = {
     "chain balancing-q --n 70 --q 1/7 --format csv": (0, '1e18c1f002fa645db0dbf1802c1b98a0c04124d104f36f5402f6111bccaec532'),
     "chain balancing-q --n 70 --q 1/7 --format json": (0, '5a3b096509850842bc220f4c7b9896986cf970ebe69caf4f0ae1242a5372c0a1'),
     "solve balancing-q --n 6 --q 1/7 --method exact --format json": (0, '2ce59ac8a1eea296504811287c4ec608b708c865ba0da2ef09ac79f847a0eeb3'),
-    "solve balancing-q --n 6 --q 1/7 --method power --format json": (0, '1c4ba3eb7c2e1ea577d9fae91ac2deee5a51a7820e363edab35e4e3a6cd6588e'),
+    "solve balancing-q --n 6 --q 1/7 --method power --format json": (0, '454ccaff6d09788831cff57d01afcedd689292bdf6fa6f0a0dc989e127ddbc0f'),
     "solve balancing-q --n 6 --q 1/7 --method simulate --steps 2000 --format json": (0, '9229756439790a6babc41372ddc0b3367dc492af6a837bfb1712bf9cf67293f6'),
     "verify balancing-q --max-n 9 --q 1/7": (0, '59284244e2bf1808cb7e6993baf823b2bd79650940e3d015f4189840310021e3'),
     "chain pell-ratio --n 4 --format csv": (0, '4ff792f78da06669e26599734f0beef556ea94480a567cc2b25d1446c01f2854'),
@@ -175,7 +175,7 @@ GOLDEN = {
     "chain lucas-q --n 70 --q 1/10 --format csv": (0, '0ae80690bbfebbe9e54adc15a3b1100f9d40077d70338fc89aa46627642cfd6c'),
     "chain lucas-q --n 70 --q 1/10 --format json": (0, 'c94d53610e55a47725c6074d770ee7c181d03ff58045244eca58d7712fcf0088'),
     "solve lucas-q --n 6 --q 1/10 --method exact --format json": (0, '6d77fbd8c2d66a902084b94838eaab4a73d957f634446636ffcd96bf88fc582c'),
-    "solve lucas-q --n 6 --q 1/10 --method power --format json": (0, 'b6d4200ce4c7d0556496505072d09b241b447d546eca6c8f0d1a6d1a083c35d8'),
+    "solve lucas-q --n 6 --q 1/10 --method power --format json": (0, 'c100078e452f2f901f7cd99efc8739ab062d6e18bf2a977f0402051511f32865'),
     "solve lucas-q --n 6 --q 1/10 --method simulate --steps 2000 --format json": (0, '705cd4e2d128a54773e71dfd2ffcbd22c51f638de8f9a7b808768937ac7edf02'),
     "verify lucas-q --max-n 9 --q 1/10": (0, '6ea12cf5fb0381e01d946f7af69159738cd85e4f41973404266008e7c92e7542'),
     "chain lucas-cobalancing --n 4 --format csv": (0, 'b3c73f318c19cb7a2495fc65ca79cc3e76d33503b9014378ab3c8bdede60978e'),
@@ -199,7 +199,7 @@ GOLDEN = {
     "chain truncated-infinite-q --n 70 --q 1/9 --format csv": (0, '4d63760963ce5a4ae41c10b76b0517cca5c5af9fbdcc96d0668c0ad00ef60413'),
     "chain truncated-infinite-q --n 70 --q 1/9 --format json": (0, '5814e0d195ce1a77c4fde16993dd60e7ae7db825cf164a041e0d317246511e86'),
     "solve truncated-infinite-q --n 6 --q 1/9 --method exact --format json": (0, 'ccd2cd91ce32de669d77cd455be83c7241c0489003e18b9b159ebc0913aabe71'),
-    "solve truncated-infinite-q --n 6 --q 1/9 --method power --format json": (0, '00109a74e21b35d8c724f132dfafc849d846193d41779d26746d6e195f0c7868'),
+    "solve truncated-infinite-q --n 6 --q 1/9 --method power --format json": (0, '852d8ed5801663766a42e4bfd150d4599cd2b321c9b8447899b6b6dd532d7979'),
     "solve truncated-infinite-q --n 6 --q 1/9 --method simulate --steps 2000 --format json": (0, '4efedd55be956bcb8d198a160121c05431b90386a1b59ff3b63db0b925a89bcb'),
     "verify truncated-infinite-q --max-n 9 --q 1/9": (0, '8db3c7f8cd64be2f7cad1ec1e162dc4b48a5b996097a8ac81ce47415af81518a'),
     "chain balancing-like --n 4 --a 4 --format csv": (0, '5f79624e17256959e15fe499c324acb44b7c4ff4bddf5db33f97732d165438c3'),
@@ -215,7 +215,7 @@ GOLDEN = {
     "chain balancing-like-q --n 70 --a 4 --q 1/5 --format csv": (0, 'e6c4f0dca246e3a2bab15bd5e22073460802d6379f5f84d8636860acf62a70d2'),
     "chain balancing-like-q --n 70 --a 4 --q 1/5 --format json": (0, '32abd28e483cb6380b506c643ea1564151cc28f5ab9651c48481b5a48748710c'),
     "solve balancing-like-q --n 6 --a 4 --q 1/5 --method exact --format json": (0, 'f511d2a55c0e86e62f025284de98b7e7ab194064cc005f0d0e1d85320c321869'),
-    "solve balancing-like-q --n 6 --a 4 --q 1/5 --method power --format json": (0, '6e420fe24e476cf025a869caac851d78caf07cbe3dd5365f22f0ce17a5b8fa64'),
+    "solve balancing-like-q --n 6 --a 4 --q 1/5 --method power --format json": (0, 'b200722da9a70c26f022b3b2b912bba0d928a213af39ab2bbde1cd50ec0c048f'),
     "solve balancing-like-q --n 6 --a 4 --q 1/5 --method simulate --steps 2000 --format json": (0, 'a8efa2ede297a230a460e4f2d695f1f7417922f2454fda2f99f1a6c6deca849d'),
     "verify balancing-like-q --max-n 9 --a 4 --q 1/5": (0, '0158f5044d3491c47188485b3c792dd7be2f90e70b93ea552e0fc7b2ac702657'),
     "solve --matrix-file {matrix_file} --method exact": (0, '77c215dcd55055cbf6034b32a4aad0415f6163212634a9baa0f592c3400815e1'),

@@ -14,6 +14,7 @@ from balchain.chains import (
     balancing_chain,
     balancing_chain_q,
     balancing_like_chain,
+    balancing_like_chain_q,
     build,
     lucas_chain,
     lucas_chain_q,
@@ -173,11 +174,28 @@ def test_power_iteration_rejects_an_empty_matrix():
         power_iteration(StochasticMatrix.from_rows([]))
 
 
-def reference_power_iteration(m, tol=1e-12, max_iter=10**6):
+def shifted_rows(m):
+    """Rows of nonzero ``(j, Fraction)`` cells of (P - sI)/(1 - s), with s
+    the smallest diagonal cell, or half of it when every diagonal cell is
+    s: the chain power_iteration iterates, built here from the cells."""
+    diagonal = [dict(m.nonzeros(i)).get(i, R(0)) for i in range(m.n)]
+    s = min(diagonal)
+    if s == max(diagonal):
+        s /= 2
+    rows = []
+    for i in range(m.n):
+        cells = [(j, (x - s if i == j else x) / (1 - s)) for j, x in m.nonzeros(i)]
+        rows.append([(j, x) for j, x in cells if x])
+    return rows
+
+
+def reference_power_iteration(m, tol=1e-12, max_iter=10**6, shift=True):
     """The plain loop power_iteration ran on every iteration before it
-    compiled its step; kept here as the oracle."""
+    compiled its step, kept here as the oracle: on the shifted chain of
+    ``shifted_rows``, or on P itself when ``shift`` is false."""
     n = m.n
-    rows = [[(j, float(x)) for j, x in m.nonzeros(i)] for i in range(n)]
+    cells = shifted_rows(m) if shift else [m.nonzeros(i) for i in range(n)]
+    rows = [[(j, float(x)) for j, x in row] for row in cells]
     v = [1.0 / n] * n
     for iteration in range(1, max_iter + 1):
         w = [0.0] * n
@@ -228,12 +246,74 @@ def every_kind_at_every_q():
                 yield ChainFamily(kind, n, a, q)
 
 
+# balancing-like at a = 2 has no collapse: a random walk that mixes slowly
+# with or without the shift, and so compiles its step
+SLOW_AFTER_THE_SHIFT = [balancing_like_chain(12, 2), balancing_like_chain_q(12, 2, R(1, 100))]
+
+
 def test_compiled_step_matches_the_loop_on_every_kind(monkeypatch):
-    compiled = [
-        assert_same_as_loop(build(family), monkeypatch) for family in every_kind_at_every_q()
-    ]
+    families = [*every_kind_at_every_q(), *SLOW_AFTER_THE_SHIFT]
+    compiled = [assert_same_as_loop(build(family), monkeypatch) for family in families]
     # fast chains stay on the loop, slow-mixing ones switch
-    assert any(compiled) and not all(compiled)
+    assert compiled == [family.a == 2 for family in families]
+
+
+def l1_error(vector, pi):
+    return sum(abs(R(x) - p) for x, p in zip(vector, pi))
+
+
+def test_shift_never_loses_accuracy_on_every_kind():
+    for family in every_kind_at_every_q():
+        m = build(family)
+        pi = solve_exact(m)
+        shifted, iterations = power_iteration(m)
+        plain, plain_iterations = reference_power_iteration(m, shift=False)
+        assert l1_error(shifted, pi) <= l1_error(plain, pi), family.label
+        assert iterations <= plain_iterations, family.label
+
+
+@pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if spec.takes_q])
+def test_a_shifted_q_family_iterates_its_q_free_chain(kind):
+    # P(q) = I + q*c*(P(1/c) - I), and P(1/c) has a zero diagonal cell, so
+    # the smallest diagonal cell of P(q) is 1 - q*c and the shift gives
+    # P(1/c) exactly, whatever q
+    a = 4 if KINDS[kind].takes_a else None
+    base = power_iteration(build(ChainFamily(kind.removesuffix("-q"), 12, a)))
+    for q in (R(1, 7), R(1, 100), R(1, 1000)):
+        assert power_iteration(build(ChainFamily(kind, 12, a, q))) == base
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # (I + C)/2 for the 3-cycle C: the full shift would leave C, periodic
+        [[R(1, 2), R(1, 2), R(0)], [R(0), R(1, 2), R(1, 2)], [R(1, 2), R(0), R(1, 2)]],
+        [[R(1, 2), R(1, 2)], [R(1, 2), R(1, 2)]],
+        [[R(1)]],
+        # (I + B)/2 for the periodic B of the bipartite matrix file, whose pi
+        # is not uniform: the full shift would leave B, and never converge
+        [[R(1, 2), R(1, 2), R(0)], [R(1, 4), R(1, 2), R(1, 4)], [R(0), R(1, 2), R(1, 2)]],
+    ],
+    ids=["lazy-3-cycle", "halves", "one-state", "lazy-bipartite"],
+)
+def test_equal_diagonal_cells_take_half_the_shift(rows):
+    m = StochasticMatrix.from_rows(rows)
+    vector, iterations = power_iteration(m)
+    assert l1_error(vector, solve_exact(m)) < 1e-12
+    assert (vector, iterations) == reference_power_iteration(m)
+    if m.n == 1:
+        assert (vector, iterations) == ([1.0], 1)
+
+
+def test_a_periodic_chain_is_not_shifted():
+    # every diagonal cell of a periodic chain is 0, so P* is P and the
+    # iterates keep cycling
+    m = StochasticMatrix.from_rows([[0, 1, 0], [R(1, 2), 0, R(1, 2)], [0, 1, 0]])
+    with pytest.raises(ConvergenceError):
+        power_iteration(m, max_iter=1000)
+    assert power_outcome(power_iteration, m, max_iter=7) == power_outcome(
+        reference_power_iteration, m, max_iter=7, shift=False
+    )
 
 
 def lazy_rows(rows, eps):
@@ -244,25 +324,43 @@ def lazy_rows(rows, eps):
     ]
 
 
+def without_self_loop(m, state):
+    """m with the self-loop of ``state`` removed and the rest of its row
+    scaled up to sum 1.  The smallest diagonal cell is then 0, so the
+    shift leaves m as it is, and a lazy chain stays slow."""
+    cells = {(i, j): x for i in range(m.n) for j, x in m.nonzeros(i)}
+    stay = cells.pop((state, state))
+    for i, j in cells:
+        if i == state:
+            cells[i, j] /= 1 - stay
+    return StochasticMatrix.from_cells(m.n, cells)
+
+
 @pytest.mark.parametrize(
-    "rows",
+    "m",
     [
-        # every cell nonzero, so off the band
-        lazy_rows([[R(1 + i + j, 10 + 4 * i) for j in range(4)] for i in range(4)], R(1, 200)),
+        # every cell but (0, 0) nonzero, so off the band
+        without_self_loop(
+            StochasticMatrix.from_rows(
+                lazy_rows([[R(1 + i + j, 10 + 4 * i) for j in range(4)] for i in range(4)], R(1, 200))
+            ),
+            0,
+        ),
         # state 2 is never entered: its weight is 0.0 after one step and
         # its column is empty
-        [[R(999, 1000), R(1, 1000), R(0)], [R(2, 500), R(498, 500), R(0)], [R(1, 2), R(1, 2), R(0)]],
+        StochasticMatrix.from_rows(
+            [[R(999, 1000), R(1, 1000), R(0)], [R(2, 500), R(498, 500), R(0)], [R(1, 2), R(1, 2), R(0)]]
+        ),
     ],
     ids=["full", "zero-weight"],
 )
-def test_compiled_step_matches_the_loop_off_the_band(monkeypatch, rows):
-    m = StochasticMatrix.from_rows(rows)
+def test_compiled_step_matches_the_loop_off_the_band(monkeypatch, m):
     assert assert_same_as_loop(m, monkeypatch, max_iter=steady._COMPILE_AFTER + 500)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
 def test_convergence_error_vector_around_the_switch(monkeypatch, offset):
-    m = build(balancing_chain_q(12, R(1, 1000)))
+    m = build(SLOW_AFTER_THE_SHIFT[1])
     max_iter = steady._COMPILE_AFTER + offset
     converged, vector, iterations = power_outcome(power_iteration, m, max_iter=max_iter)
     assert not converged and iterations == max_iter
@@ -271,8 +369,9 @@ def test_convergence_error_vector_around_the_switch(monkeypatch, offset):
 
 def test_compiled_step_chunks_a_long_column(monkeypatch):
     # column 0 of this chain has 3000 nonzeros; as one expression it would
-    # overflow the compiler's recursion limit
-    m = build(balancing_chain_q(3000, R(1, 1000)))
+    # overflow the compiler's recursion limit.  The last state's self-loop
+    # goes, so the chain is not shifted and stays slow
+    m = without_self_loop(build(balancing_chain_q(3000, R(1, 1000))), 2999)
     assert len([i for i in range(m.n) if m.entry(i, 0)]) == 3000
     assert assert_same_as_loop(m, monkeypatch, max_iter=steady._COMPILE_AFTER + 3)
 
@@ -604,6 +703,18 @@ def test_irreducible_chains_solve_exactly_by_elimination(m):
     assume(validate(m).irreducible)
     assert_exactly_stationary(m, _solve_gauss(m))
     assert_exactly_stationary(m, solve_exact(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_matrices())
+# the shift slows this chain, 25 -> 261 iterations: P* has an eigenvalue
+# near -1
+@example(StochasticMatrix.from_rows([[R(1, 3), 0, R(2, 3)], [0, R(1, 3), R(2, 3)], [R(2, 5), R(1, 5), R(2, 5)]]))
+def test_power_iteration_on_random_irreducible_matrix_files(m):
+    m = matrix_from_json(matrix_to_json(m))
+    assume(validate(m).ok)
+    vector, _ = power_iteration(m)
+    assert l1_error(vector, solve_exact(m)) < 1e-9
 
 
 def sweep_cases():

@@ -28,6 +28,7 @@ from balchain.verify import (
     closed_form,
     infinite_recursion_identity,
     q_invariance,
+    q_invariance_row,
     report_row,
     rows_to_csv,
     truncation_convergence,
@@ -329,6 +330,29 @@ def test_rows_to_csv_needs_a_list_or_tuple(rows, got):
     with pytest.raises(ParameterError, match=f"^rows must be a list or tuple, got {got}$"):
         rows_to_csv(rows)
     assert rows_to_csv(()) == rows_to_csv([]) == "family,n,params,exact_match,max_gap"
+
+
+def test_q_invariance_row_needs_a_q_invariance_report():
+    with pytest.raises(ParameterError, match="^report must be a QInvarianceReport, got None$"):
+        q_invariance_row(None)
+    row = q_invariance_row(q_invariance(6, [R(1, 7)], "balancing"))
+    assert (row["family"], row["exact_match"]) == ("q-invariance:balancing", True)
+
+
+GOOD_ROW = {"family": "balancing", "n": 4, "params": {}, "exact_match": True, "max_gap": "0"}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [None, {}, {k: v for k, v in GOOD_ROW.items() if k != "max_gap"}, {**GOOD_ROW, "params": None}],
+    ids=["none", "empty", "no-max-gap", "params-none"],
+)
+def test_rows_to_csv_needs_every_column_in_each_row(row):
+    assert rows_to_csv([GOOD_ROW]).splitlines()[1] == "balancing,4,,True,0"
+    columns = "family, n, params, exact_match, max_gap"
+    expected = f"^each row must be a mapping of {columns} with mapping params, got {re.escape(repr(row))}$"
+    with pytest.raises(ParameterError, match=expected):
+        rows_to_csv([GOOD_ROW, row])
 
 
 NUDGE = R(1, 10**9)
