@@ -11,7 +11,13 @@
                     switches to a step compiled to straight-line code,
                     which makes the same float operations in the same
                     order
-* simulate       -- seeded Monte Carlo trajectory counting
+* simulate       -- seeded Monte Carlo trajectory counting on the
+                    stream of random.Random(seed): the draws come in
+                    chunks from getrandbits, a 256-entry table per
+                    visited state decides most steps from a draw's top
+                    byte, and the rest rebuild the draw exactly and
+                    bisect, so the stream and every step are those of
+                    the walk that calls random() once per step
 
 plus exact matrix powers for the n-step transition law.  The three routes
 share no code, so agreement between them is a meaningful check.
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress
-from math import gcd, inf, prod
+from math import ceil, floor, gcd, inf, prod
 from numbers import Real
 
 from .chains import StochasticMatrix
@@ -409,37 +415,109 @@ def n_step(m: StochasticMatrix, n: int) -> StochasticMatrix:
     return StochasticMatrix._lowest_terms(m.n, m.den**n, result, label)
 
 
+# Draws taken from the generator at a time: 4096 draws are 32 KiB of
+# bytes, so a chunk's buffers stay small whatever ``steps`` is.
+_DRAWS = 4096
+
+
 def simulate(
     m: StochasticMatrix, steps: int, seed: int, start: int = 0
 ) -> SimulationResult:
-    """Run one seeded trajectory and count visits after each transition."""
+    """Run one seeded trajectory and count visits after each transition.
+
+    Step k draws u = ``random.Random(seed).random()``'s k-th value and moves
+    from state i to ``targets[i][bisect_right(cumulative[i], u)]``, where
+    row i's ``cumulative`` holds the float running sums of its cells, the
+    last one set to 1.0 so that float drift cannot reach past the last
+    nonzero target.  The seed must be >= 0: ``random.Random`` seeds with
+    ``abs(seed)``, so a negative seed would run another seed's stream.
+
+    The walk takes the same stream in chunks of ``_DRAWS`` draws and
+    decides most steps without building u.  ``random()`` makes u from two
+    32-bit Mersenne Twister words a then b, as ((a >> 5) * 2**26 +
+    (b >> 6)) / 2**53, and ``getrandbits(64 * count)`` lays the same words
+    out in the same order, least significant first, so byte 8k + 3 of its
+    little-endian bytes is a's top byte, floor(256 * u).  Each state gets a
+    256-entry row (``_byte_row``): entry b is the next state when no
+    threshold of the state's ``cumulative`` lies strictly inside
+    (b/256, (b+1)/256), as every u in that bucket then bisects to the same
+    target, and -1 otherwise.  A -1 rebuilds u exactly from its 8 bytes
+    (``_unit_float``) and bisects as above.  Until the walk first leaves a
+    state, the state reads one shared all -1 row, and that first step
+    builds its float row (``_float_row``) and its byte row, so a run holds
+    rows for the states it visits only.  The stream, every step and so the
+    result equal those of the plain per-``random()`` walk.
+    """
     _require_int("steps", steps, 1)
-    _require_int("seed", seed)
+    _require_int("seed", seed, 0)
     _require_int("start", start)
     n, den = m.n, m.den
     if not 0 <= start < n:
         raise ValueError(f"start state {start} outside 0..{n - 1}")
-    targets = []
-    cumulative = []
-    for cells in m.numerators:
-        acc = 0.0
-        cum = []
-        for v in cells.values():
-            acc += v / den
-            cum.append(acc)
-        # float drift at the top end goes to the last possible target
-        cum[-1] = 1.0
-        targets.append(list(cells))
-        cumulative.append(cum)
+    unbuilt = [-1] * 256
+    table = [unbuilt] * n
+    rows: dict[int, tuple[list[int], list[float]]] = {}  # _float_row of each state left
     rng = random.Random(seed)
-    draw = rng.random
     visits = [0] * n
     state = start
-    for _ in range(steps):
-        state = targets[state][bisect_right(cumulative[state], draw())]
-        visits[state] += 1
+    for done in range(0, steps, _DRAWS):
+        count = min(_DRAWS, steps - done)
+        data = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+        tops = iter(data[3::8])
+        for top in tops:
+            nxt = table[state][top]
+            if nxt < 0:
+                if table[state] is unbuilt:
+                    rows[state] = _float_row(m.numerators[state], den)
+                    table[state] = _byte_row(*rows[state])
+                    nxt = table[state][top]
+                if nxt < 0:
+                    # the draw just read is number count - 1 - (draws left)
+                    at = 8 * (count - 1 - tops.__length_hint__())
+                    u = _unit_float(int.from_bytes(data[at : at + 8], "little"))
+                    targets, cumulative = rows[state]
+                    nxt = targets[bisect_right(cumulative, u)]
+            visits[nxt] += 1
+            state = nxt
     empirical = tuple(v / steps for v in visits)
     return SimulationResult(
         visits=tuple(visits), steps=steps, seed=seed, empirical=empirical
     )
 
+
+def _float_row(cells: dict[int, int], den: int) -> tuple[list[int], list[float]]:
+    """A row's nonzero targets and the float running sums of its cells."""
+    acc = 0.0
+    cumulative = []
+    for v in cells.values():
+        acc += v / den
+        cumulative.append(acc)
+    # float drift at the top end goes to the last possible target
+    cumulative[-1] = 1.0
+    return list(cells), cumulative
+
+
+def _byte_row(targets: list[int], cum: list[float]) -> list[int]:
+    """Entry b is the target that every u in [b/256, (b+1)/256) bisects to
+    in ``cum``, or -1 when a threshold lies strictly inside the bucket.
+
+    Target k takes the u in [cum[k-1], cum[k]), so the whole buckets in
+    that span, the b with ceil(256 * cum[k-1]) <= b < floor(256 * cum[k]);
+    the products are exact, as 256 is a power of 2.  Only ``cum[-1]``, which
+    is 1.0, may be below the threshold before it, and no u reaches a span
+    that starts above 1.
+    """
+    row = [-1] * 256
+    low = 0
+    for target, c in zip(targets, cum):
+        high = floor(256 * c)
+        if high > low:
+            row[low:high] = [target] * (high - low)
+        low = ceil(256 * c)
+    return row
+
+
+def _unit_float(word: int) -> float:
+    """``random()``'s value from the 64-bit word of its two 32-bit draws,
+    the first one in the low half."""
+    return (((word & 0xFFFFFFFF) >> 5) << 26 | word >> 38) / 2**53

@@ -278,6 +278,16 @@ def test_solve_simulate_deterministic(capsys):
     assert sum(payload["visits"]) == 20000
 
 
+def test_solve_simulate_refuses_a_negative_seed(capsys):
+    # random.Random seeds with abs(seed), so --seed -5 would run seed 5's stream
+    code, out, err = run_cli(
+        capsys, "solve", "balancing", "--n", "5", "--method", "simulate",
+        "--steps", "1000", "--seed", "-5",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": 2, "message": "seed must be >= 0, got -5"}
+
+
 def test_solve_matrix_file_round_trip(capsys, tmp_path):
     matrix_path = tmp_path / "chain.json"
     code, _, _ = run_cli(

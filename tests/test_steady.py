@@ -1,3 +1,5 @@
+import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -26,6 +28,7 @@ from balchain.chains import (
 )
 from balchain.steady import (
     ConvergenceError,
+    SimulationResult,
     SolverError,
     n_step,
     power_iteration,
@@ -853,13 +856,21 @@ def test_skip_free_route_equals_gaussian_elimination(m):
 
 
 class _TopDraw:
-    """Stands in for random.Random: every draw is the largest float < 1."""
+    """Stands in for random.Random: every 32-bit word is all ones, so every
+    draw is the largest float < 1."""
 
     def __init__(self, seed):
         pass
 
     def random(self):
         return 1.0 - 2.0**-53
+
+    def getrandbits(self, k):
+        return (1 << k) - 1
+
+
+def no_bisect(*args):
+    raise AssertionError("the byte table should decide this draw")
 
 
 @pytest.mark.parametrize(
@@ -868,9 +879,107 @@ class _TopDraw:
 )
 def test_simulate_float_drift_stays_on_possible_targets(monkeypatch, family):
     # rows 2-4 sum to just below 1.0 in floats; a draw above that sum must
-    # land on the row's last nonzero target, never on a zero-probability one
+    # land on the row's last nonzero target, never on a zero-probability one.
+    # No threshold lies inside the draw's top-byte bucket (255/256, 1), so
+    # the byte table decides the step, without a bisect
     monkeypatch.setattr(steady, "random", SimpleNamespace(Random=_TopDraw))
+    monkeypatch.setattr(steady, "bisect_right", no_bisect)
     m = build(family)
     for start in (2, 3, 4):
         result = simulate(m, steps=1, seed=0, start=start)
         assert result.visits[start + 1] == 1
+
+
+def test_simulate_float_drift_at_a_threshold_takes_the_exact_fallback(monkeypatch):
+    # cells 149/300, 1/2, 1/300 also sum to just below 1.0 in floats, and the
+    # threshold 0.99667 lies inside the top-byte bucket, so the draw is
+    # rebuilt from its bytes and bisected; it must land on the last target
+    monkeypatch.setattr(steady, "random", SimpleNamespace(Random=_TopDraw))
+    bisected = []
+    monkeypatch.setattr(
+        steady, "bisect_right", lambda cum, u: bisected.append(u) or bisect_right(cum, u)
+    )
+    m = StochasticMatrix.from_rows([[R(149, 300), R(1, 2), R(1, 300)]] * 3)
+    for start in range(3):
+        assert simulate(m, steps=1, seed=0, start=start).visits == (0, 0, 1)
+    assert bisected == [1.0 - 2.0**-53] * 3
+
+
+def reference_simulate(m, steps, seed, start=0):
+    """The plain walk, kept as the oracle: every float row built up front,
+    then one ``random()`` and one ``bisect_right`` on the row's float
+    running sums per step."""
+    targets, cumulative = [], []
+    for cells in m.numerators:
+        acc, cum = 0.0, []
+        for v in cells.values():
+            acc += v / m.den
+            cum.append(acc)
+        cum[-1] = 1.0
+        targets.append(list(cells))
+        cumulative.append(cum)
+    draw = random.Random(seed).random
+    visits = [0] * m.n
+    state = start
+    for _ in range(steps):
+        state = targets[state][bisect_right(cumulative[state], draw())]
+        visits[state] += 1
+    return SimulationResult(
+        visits=tuple(visits), steps=steps, seed=seed, empirical=tuple(v / steps for v in visits)
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bulk_words_decode_to_the_random_draws(seed):
+    count = 3000
+    data = random.Random(seed).getrandbits(64 * count).to_bytes(8 * count, "little")
+    draw = random.Random(seed).random
+    draws = [draw() for _ in range(count)]
+    words = [int.from_bytes(data[k : k + 8], "little") for k in range(0, 8 * count, 8)]
+    assert [steady._unit_float(w) for w in words] == draws
+    # byte 8k + 3 is the bucket of draw k
+    assert list(data[3::8]) == [int(256 * u) for u in draws]
+
+
+# one more than a chunk, a chunk, one less, and a run into a fourth chunk
+CHUNK_STEPS = [1, 4095, 4096, 4097, 3 * 4096 + 5]
+
+
+@st.composite
+def rows_over(draw, den):
+    """Stochastic rows whose cells are ints over ``den``: cut points in
+    [0, den], equal cuts giving zero cells."""
+    n = draw(st.integers(1, 8))
+    cut = st.one_of(st.integers(0, den), st.sampled_from([0, den // 2, den]))
+    rows = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(cut, min_size=n - 1, max_size=n - 1)))
+        rows.append([R(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])])
+    return StochasticMatrix.from_rows(rows)
+
+
+# over 256 every threshold sits on a bucket edge; over 10**30 most fall
+# inside a bucket, and a cell can be far below 2**-53
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([256, 7, 10**30]).flatmap(rows_over),
+    st.sampled_from(CHUNK_STEPS),
+    st.integers(0, 2**64),
+)
+def test_simulate_equals_the_per_draw_walk(m, steps, seed):
+    for start in range(m.n):
+        assert simulate(m, steps, seed, start) == reference_simulate(m, steps, seed, start)
+
+
+def test_simulate_equals_the_per_draw_walk_on_every_kind():
+    for k, family in enumerate(every_kind_at_every_q()):
+        m = build(family)
+        for start in {0, m.n // 2, m.n - 1}:
+            expected = reference_simulate(m, 3 * 4096 + 5, k, start)
+            assert simulate(m, 3 * 4096 + 5, k, start) == expected, family.label
+
+
+def test_simulate_refuses_a_negative_seed():
+    # random.Random(-5) runs seed 5's stream, which the result would report as -5
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        simulate(build(balancing_chain(4)), 10, -5)
