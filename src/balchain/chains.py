@@ -112,7 +112,7 @@ class ChainFamily:
 
     def __post_init__(self) -> None:
         kind, a, q = self.kind, self.a, self.q
-        spec = KINDS.get(kind)
+        spec = KINDS.get(kind) if isinstance(kind, str) else None
         if spec is None:
             raise ParameterError(f"unknown chain family {kind!r}")
         if not _is_int(self.n):
@@ -313,6 +313,8 @@ class StochasticMatrix:
         that is not stochastic."""
         if not _is_int(n):
             raise ParameterError(f"matrix size n must be an integer, got {n!r}")
+        if not isinstance(cells, dict):
+            raise ParameterError(f"matrix cells must be a dict, got {type(cells).__name__}")
         rows: list[list[tuple[int, object]]] = [[] for _ in range(n)]
         for key, x in cells.items():
             i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
@@ -331,8 +333,11 @@ class StochasticMatrix:
         cell's numerator times ``den // denominator``.  No gcd is needed.
         Once every cell is parsed, the first negative cell in row-major
         order, and then the first row whose numerators do not sum to
-        ``den``, raises ParameterError, so every matrix is stochastic.
+        ``den``, raises ParameterError, so every matrix is stochastic.  A
+        label that is not a str raises it first, as ``matrix_from_json``
+        would refuse ``matrix_to_json``'s output.
         """
+        _require_label(label)
         parsed: dict[str, Fraction] = {}
         exact = []
         for row in rows:
@@ -567,6 +572,12 @@ def matrix_to_json(m: StochasticMatrix) -> str:
     return f'{{"n": {m.n}, "family": {json.dumps(m.label)}, "rows": [{rows}]}}'
 
 
+def _require_label(label: object) -> None:
+    """A matrix's label is its JSON "family": it must be a str."""
+    if not isinstance(label, str):
+        raise ParameterError(f'matrix "family" must be a string, got {label!r}')
+
+
 def matrix_from_json(text: str) -> StochasticMatrix:
     """Read a ``matrix_to_json`` payload: ``{"n": n, "rows": [[cell, ...], ...]}``.
 
@@ -584,8 +595,7 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     n, rows, label = payload.get("n"), payload.get("rows"), payload.get("family", "")
     if type(n) is not int or n < 1:
         raise ParameterError(f'matrix "n" must be a positive integer, got {n!r}')
-    if not isinstance(label, str):
-        raise ParameterError(f'matrix "family" must be a string, got {label!r}')
+    _require_label(label)
     if not (isinstance(rows, list) and len(rows) == n):
         raise ParameterError(f'matrix "rows" must be {n} lists of {n} cells')
     return StochasticMatrix.from_rows(rows, label)

@@ -263,6 +263,11 @@ KEY_ERROR = "matrix cell key {}: not a pair of ints in 0..1"
         ("from_rows", ([[1, 0], None],), 'matrix "rows" must be 2 lists of 2 cells'),
         ("from_rows", ([[1, 0, 0], [1, 0, 0]],), 'matrix "rows" must be 2 lists of 2 cells'),
         ("from_rows", (["10", "01"],), 'matrix "rows" must be 2 lists of 2 cells'),
+        ("from_cells", (2, None), "matrix cells must be a dict, got NoneType"),
+        ("from_cells", (2, [((0, 0), 1)]), "matrix cells must be a dict, got list"),
+        # matrix_to_json would write these labels and matrix_from_json refuse them
+        ("from_rows", ([[1]], 5), 'matrix "family" must be a string, got 5'),
+        ("from_cells", (1, {(0, 0): 1}, None), 'matrix "family" must be a string, got None'),
     ],
 )
 def test_malformed_shapes_raise_parameter_error(constructor, args, message):
@@ -302,6 +307,9 @@ def test_registry_drives_the_constructor():
         assert ChainFamily(f.kind, f.n, f.a, f.q) == f
     with pytest.raises(ParameterError, match="unknown chain family 'nope'"):
         ChainFamily("nope", 5)
+    # an unhashable kind is unknown too, not a TypeError from the lookup
+    with pytest.raises(ParameterError, match=r"^unknown chain family \[\]$"):
+        ChainFamily([], 3)
     # a parameter the kind does not take is an error, never dropped
     with pytest.raises(ParameterError, match="balancing takes no multiplier a, got 4"):
         ChainFamily("balancing", 5, a=4)
