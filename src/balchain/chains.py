@@ -430,6 +430,18 @@ class StochasticMatrix:
         return f"<StochasticMatrix {name} {self.n}x{self.n} nnz={self.nonzero_count()}>"
 
 
+def _require_family(family: object) -> None:
+    """The public entry points' rule for a family argument."""
+    if not isinstance(family, ChainFamily):
+        raise ParameterError(f"family must be a ChainFamily, got {family!r}")
+
+
+def _require_matrix(m: object) -> None:
+    """The public entry points' rule for a matrix argument."""
+    if not isinstance(m, StochasticMatrix):
+        raise ParameterError(f"matrix must be a StochasticMatrix, got {type(m).__name__}")
+
+
 def _cells(n: int, a: int, q: int, one: int, boundary: str) -> list[dict[int, int]]:
     """Rows of ``{j: cell}``, zero-free and in column order, of the size-n
     chain with multiplier a and step q, in multiples of the unit ``one``.
@@ -468,7 +480,9 @@ def build(family: ChainFamily) -> StochasticMatrix:
     """Materialize a family instance as a StochasticMatrix: ``_cells``'s
     rows over q's denominator are the store, in lowest terms as q is the
     cell (0, 1).  Only lucas-cobalancing's 3q/7 needs the unit 1/42; its
-    cells 1/6 and 1/14 share no factor with 42."""
+    cells 1/6 and 1/14 share no factor with 42.  A ``family`` that is not
+    a ChainFamily raises ParameterError."""
+    _require_family(family)
     spec = KINDS[family.kind]
     q = family.q if spec.takes_q else Fraction(1, family.coeff)
     scale = 7 if spec.boundary == "lucas-cobalancing" else 1
@@ -500,6 +514,7 @@ class ValidationReport:
 def validate(m: StochasticMatrix) -> ValidationReport:
     """Check irreducibility and aperiodicity on the nonzero cells, O(nnz);
     stochasticity holds for every matrix, as ``_exact`` checks it."""
+    _require_matrix(m)
     n = m.n
     adjacency = m.numerators  # a row's keys are its targets
     reverse: list[list[int]] = [[] for _ in range(n)]
@@ -561,6 +576,7 @@ def _cell_strings(m: StochasticMatrix) -> list[list[str]]:
 
 def matrix_to_csv(m: StochasticMatrix) -> str:
     """Row-major CSV of reduced fraction strings, one matrix row per line."""
+    _require_matrix(m)
     return "\n".join(",".join(row) for row in _cell_strings(m))
 
 
@@ -568,6 +584,7 @@ def matrix_to_json(m: StochasticMatrix) -> str:
     """``json.dumps`` of ``{"n", "family", "rows"}`` with the cells as
     strings, byte for byte; a cell string holds only digits, "-" and "/",
     so it is quoted without escapes."""
+    _require_matrix(m)
     rows = ", ".join('["' + '", "'.join(row) + '"]' for row in _cell_strings(m))
     return f'{{"n": {m.n}, "family": {json.dumps(m.label)}, "rows": [{rows}]}}'
 
@@ -584,8 +601,11 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     A cell is an exact number (``_exact_number``): a JSON integer or a
     string such as "1/6" or "0.25".  Past the payload's own checks the
     rows go to ``StochasticMatrix.from_rows``; every malformed payload, and
-    a matrix that is not stochastic, raises ParameterError.
+    a matrix that is not stochastic, raises ParameterError, and so does a
+    ``text`` that is not a str, bytes or bytearray.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ParameterError(f"matrix JSON must be a str, got {type(text).__name__}")
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # json recurses once per nesting level

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 
-from .chains import KINDS, ChainFamily, ParameterError, build, truncated_infinite_chain
+from .chains import KINDS, ChainFamily, ParameterError, _require_family, build, truncated_infinite_chain
 from .quadratic import (
     BETA,
     ONE,
@@ -86,8 +86,7 @@ def _require_list(name: str, value: object) -> None:
 def _weights(family: ChainFamily) -> list[int]:
     """The closed form's integer weights x(n), ..., x(1): pi[i] is x(n-i)
     over their sum."""
-    if not isinstance(family, ChainFamily):
-        raise ParameterError(f"family must be a ChainFamily, got {family!r}")
+    _require_family(family)
     spec = KINDS[family.kind]
     kind = SequenceKind(spec.name, RecurrenceSpec(family.coeff, 0, spec.x0, 1))
     return sequence(kind, family.n + 1)[:0:-1]

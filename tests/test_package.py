@@ -11,20 +11,28 @@ import balchain
 from balchain import (
     BALANCING,
     BETA,
+    ParameterError,
     StochasticMatrix,
     balancing_chain,
     beta_power_row,
     build,
+    closed_form,
     infinite_recursion_identity,
     infinite_steady_state,
+    matrix_from_json,
+    matrix_to_csv,
+    matrix_to_json,
     n_step,
     power_iteration,
     sequence,
     silver_ratio_gap,
     simulate,
+    solve_exact,
     sqrt2_bounds,
     term,
     unnormalized_recursion_check,
+    validate,
+    verify_family,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +89,31 @@ INT_ARGUMENTS = {
     "StochasticMatrix.from_cells.n": lambda v: StochasticMatrix.from_cells(v, {}),
     "QuadInt.__pow__": lambda v: BETA**v,
 }
+
+
+# each public entry point that takes a matrix or a family, called with one value
+MATRIX_ARGUMENTS = {
+    "validate": validate,
+    "solve_exact": solve_exact,
+    "power_iteration": power_iteration,
+    "n_step": lambda v: n_step(v, 2),
+    "simulate": lambda v: simulate(v, 10, 1),
+    "matrix_to_json": matrix_to_json,
+    "matrix_to_csv": matrix_to_csv,
+    "matrix_from_json": matrix_from_json,
+    "build": build,
+    "closed_form": closed_form,
+    "verify_family": verify_family,
+}
+
+
+@pytest.mark.parametrize("value", [None, "balancing", [[1]]], ids=repr)
+@pytest.mark.parametrize("entry", MATRIX_ARGUMENTS)
+def test_matrix_and_family_arguments_raise_parameter_error(entry, value):
+    # before, validate(None) raised a bare AttributeError and
+    # matrix_from_json(None) a bare TypeError
+    with pytest.raises(ParameterError):
+        MATRIX_ARGUMENTS[entry](value)
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, "3", -1, 0], ids=repr)

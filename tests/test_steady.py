@@ -35,6 +35,7 @@ from balchain.steady import (
     _solve_gauss,
     simulate,
     solve_exact,
+    _unit_float,
 )
 
 R = Fraction
@@ -851,8 +852,18 @@ class _TopDraw:
         return (1 << k) - 1
 
 
-def no_bisect(*args):
-    raise AssertionError("the byte table should decide this draw")
+def no_rebuild(word):
+    raise AssertionError("the class or byte tables should decide this draw")
+
+
+def last_target_walk(m, steps, start):
+    """Visits of the walk that always moves to its row's last nonzero target."""
+    visits = [0] * m.n
+    state = start
+    for _ in range(steps):
+        state = list(m.numerators[state])[-1]
+        visits[state] += 1
+    return tuple(visits)
 
 
 @pytest.mark.parametrize(
@@ -862,29 +873,55 @@ def no_bisect(*args):
 def test_simulate_float_drift_stays_on_possible_targets(monkeypatch, family):
     # rows 2-4 sum to just below 1.0 in floats; a draw above that sum must
     # land on the row's last nonzero target, never on a zero-probability one.
-    # No threshold lies inside the draw's top-byte bucket (255/256, 1), so
-    # the byte table decides the step, without a bisect
+    # No sum lies inside the draw's top-byte bucket (255/256, 1), so the
+    # class table decides every step, on keys and on the leftover draws,
+    # without rebuilding a draw
     monkeypatch.setattr(steady, "random", SimpleNamespace(Random=_TopDraw))
-    monkeypatch.setattr(steady, "bisect_right", no_bisect)
+    monkeypatch.setattr(steady, "_unit_float", no_rebuild)
     m = build(family)
     for start in (2, 3, 4):
-        result = simulate(m, steps=1, seed=0, start=start)
-        assert result.visits[start + 1] == 1
+        for steps in (1, 4097):
+            result = simulate(m, steps=steps, seed=0, start=start)
+            assert result.visits == last_target_walk(m, steps, start)
+        assert simulate(m, steps=1, seed=0, start=start).visits[start + 1] == 1
+
+
+def drift_walk(monkeypatch, cells):
+    """Rows of ``cells`` walked on the top draw, one step from each state
+    and then 4097 from state 0; returns the draws rebuilt from their bytes."""
+    monkeypatch.setattr(steady, "random", SimpleNamespace(Random=_TopDraw))
+    rebuilt = []
+    monkeypatch.setattr(steady, "_unit_float", lambda word: rebuilt.append(word) or _unit_float(word))
+    m = StochasticMatrix.from_rows([cells] * 3)
+    # the cells sum to just below 1.0 in floats; the draw must land on the
+    # last target
+    for start in range(3):
+        assert simulate(m, steps=1, seed=0, start=start).visits == (0, 0, 1)
+    assert simulate(m, steps=4097, seed=0).visits == (0, 0, 4097)
+    return rebuilt
 
 
 def test_simulate_float_drift_at_a_threshold_takes_the_exact_fallback(monkeypatch):
-    # cells 149/300, 1/2, 1/300 also sum to just below 1.0 in floats, and the
-    # threshold 0.99667 lies inside the top-byte bucket, so the draw is
-    # rebuilt from its bytes and bisected; it must land on the last target
+    # the sum 0.9999857 lies inside the draw's top-byte bucket and inside its
+    # 16-bit bucket (65535/65536, 1), so every draw is rebuilt from its bytes
+    # and bisected
+    rebuilt = drift_walk(monkeypatch, [R(17501, 35003), R(1, 2), R(1, 70006)])
+    assert rebuilt == [2**64 - 1] * (3 + 4097)
+
+
+def test_simulate_float_drift_inside_a_top_byte_bucket_takes_the_next_byte(monkeypatch):
+    # the sum 0.99667 lies inside the top-byte bucket but below the 16-bit
+    # bucket, so the draw's next byte decides, with no draw rebuilt
+    assert drift_walk(monkeypatch, [R(149, 300), R(1, 2), R(1, 300)]) == []
+
+
+def test_simulate_a_draw_equal_to_a_sum_takes_the_next_target(monkeypatch):
+    # the top draw 1 - 2**-53 is the row's one sum exactly: bisect_right puts
+    # it past the sum, on the second target, and so must the rebuilt draw
     monkeypatch.setattr(steady, "random", SimpleNamespace(Random=_TopDraw))
-    bisected = []
-    monkeypatch.setattr(
-        steady, "bisect_right", lambda cum, u: bisected.append(u) or bisect_right(cum, u)
-    )
-    m = StochasticMatrix.from_rows([[R(149, 300), R(1, 2), R(1, 300)]] * 3)
-    for start in range(3):
-        assert simulate(m, steps=1, seed=0, start=start).visits == (0, 0, 1)
-    assert bisected == [1.0 - 2.0**-53] * 3
+    m = StochasticMatrix.from_rows([[R(2**53 - 1, 2**53), R(1, 2**53)]] * 2)
+    for steps in (1, 4097):
+        assert simulate(m, steps, seed=0).visits == (0, steps)
 
 
 def reference_simulate(m, steps, seed, start=0):
@@ -940,14 +977,65 @@ def rows_over(draw, den):
     return StochasticMatrix.from_rows(rows)
 
 
+def random_row(rng, n, den):
+    """n positive cells over den, from n - 1 distinct cuts of (0, den)."""
+    cuts = sorted({rng.randrange(1, den) for _ in range(n - 1)})
+    assert len(cuts) == n - 1
+    return [R(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+
+
+_rows = random.Random(25)
+# one sum, 1/2: K = 2 classes, 8 draws a key
+ONE_SUM = StochasticMatrix.from_rows([[R(1, 2), R(1, 2)]] * 2)
+# 19 sums in every row over 10**30, the start row's too: keyed by top byte
+MANY_SUMS = StochasticMatrix.from_rows([random_row(_rows, 20, 10**30) for _ in range(20)])
+# the start row has one sum, and rows 1 and 2 each add sums when the walk
+# first leaves them, refining the classes
+REFINED = StochasticMatrix.from_rows(
+    [[R(5, 6), R(1, 6), 0], [R(1, 2), R(1, 3), R(1, 6)], [R(1, 7), R(2, 7), R(4, 7)]]
+)
+# rows over 6 up to state 3, which takes three 1/6 steps to reach; rows 3 on
+# have 19 sums over 10**30, so the walk turns to top-byte keys mid-walk
+SWITCHED = StochasticMatrix.from_rows(
+    [[R(5, 6)] + [0] * i + [R(1, 6)] + [0] * (18 - i) for i in range(3)]
+    + [random_row(_rows, 20, 10**30) for _ in range(17)]
+)
+
+
+def class_count(m, states):
+    """K: one more than the distinct float running sums below 1.0 of the rows."""
+    sums = {c for s in states for c in steady._float_row(m.numerators[s], m.den)[1] if c < 1.0}
+    return len(sums) + 1
+
+
+def test_the_branch_cases_reach_each_key_width():
+    # the examples below step 8, 4, 3, 2 and 1 draws a key
+    assert steady._KEY_DIGITS[class_count(ONE_SUM, [0])] == 8
+    widths = [build(f) for f in (balancing_chain(12), lucas_chain(12), lucas_cobalancing_chain(12))]
+    assert [steady._KEY_DIGITS[class_count(m, range(m.n))] for m in widths] == [4, 3, 2]
+    assert class_count(MANY_SUMS, [0]) > 16
+    # one sum at the start, more after, and past 16 only from state 3 on
+    assert class_count(REFINED, [0]) == 2 < class_count(REFINED, [0, 1]) < class_count(REFINED, [0, 1, 2])
+    assert class_count(SWITCHED, [0, 1, 2]) == 2 and class_count(SWITCHED, [3]) > 16
+
+
 # over 256 every threshold sits on a bucket edge; over 10**30 most fall
-# inside a bucket, and a cell can be far below 2**-53
+# inside a bucket, and a cell can be far below 2**-53.  The examples reach
+# each branch of the walk; 4097 and 3 * 4096 + 5 steps leave draws past
+# the last whole key
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([256, 7, 10**30]).flatmap(rows_over),
     st.sampled_from(CHUNK_STEPS),
     st.integers(0, 2**64),
 )
+@example(ONE_SUM, 4097, 1)
+@example(build(balancing_chain(12)), 4097, 2)
+@example(build(lucas_chain(12)), 3 * 4096 + 5, 3)
+@example(build(lucas_cobalancing_chain(12)), 4097, 4)
+@example(MANY_SUMS, 4097, 5)
+@example(REFINED, 3 * 4096 + 5, 6)
+@example(SWITCHED, 3 * 4096 + 5, 7)
 def test_simulate_equals_the_per_draw_walk(m, steps, seed):
     for start in range(m.n):
         assert simulate(m, steps, seed, start) == reference_simulate(m, steps, seed, start)
