@@ -5,11 +5,13 @@ square; the square roots of those discriminants are the Lucas-balancing
 numbers.  Cobalancing numbers satisfy the shifted condition
 8*N**2 + 8*N + 1 = square.  All of these, and the Pell numbers, come out of
 one second-order recurrence with exact arbitrary-precision integers.
-There is one engine per job.  Every run of terms steps ``_recurrence``
-once per term: ``sequence`` in ints, and ``seq``'s ``_decimal_terms`` in
-exact ``Decimal``.  Every jump to one index, ``term`` and
-``balancing_matrix_power``, reads the doubling engine ``_lucas_u``, which
-takes three big-integer products per bit of the index.
+There is one engine per job.  Every run of terms steps the recurrence
+once per term: ``sequence`` in ints with ``_recurrence``, and ``seq``'s
+``_decimal_terms`` in exact ``Decimal`` with ``_decimal_recurrence``, one
+fused multiply-add a term.  Every jump to one index, ``term`` and
+``balancing_matrix_power``, reads the Lucas (U, V) ladder
+``_lucas_ladder``, which takes two big-integer products per bit of the
+index, three for a shifted recurrence.
 
 Every index, count, exponent, multiplier and recurrence parameter is an
 int (bool excluded); anything else raises ValueError.
@@ -123,15 +125,13 @@ def balancing_like(a: int) -> SequenceKind:
 def term(kind: SequenceKind, n: int) -> int:
     """n-th term of the sequence, 0-indexed, in O(log n) big-integer products.
 
-    Every solution of the recurrence is x1*U[n] + x0*(U[n+1] - coeff*U[n])
-    + shift*T[n], with U, T as in ``_lucas_u``: the first two are the
-    homogeneous solutions with (x0, x1) = (0, 1) and (1, 0), and shift*T[n]
-    the solution from (0, 0).
+    It is read off the Lucas (U, V) ladder ``_lucas_ladder``: two big
+    products per bit of n, and one at the last bit.  A shifted recurrence
+    adds one more per bit, and two at the last, for the sum T of U.
     """
     _require_int("index", n, 0)
     r = kind.recurrence
-    u, u1, t = _lucas_u(r, n)
-    return r.x1 * u + r.x0 * (u1 - r.coeff * u) + r.shift * t
+    return _lucas_ladder(r, n, (r.x0, r.x1))[0]
 
 
 def _recurrence(r: RecurrenceSpec, count: int, prev, cur) -> Iterator:
@@ -166,25 +166,44 @@ _EXACT = Context(
 )
 
 
+def _decimal_recurrence(r: RecurrenceSpec, count: int, ctx: Context) -> Iterator[Decimal]:
+    """``_recurrence`` from x[0] and x[1] in ``Decimal`` under the exact
+    context ``ctx``, in one fused multiply-add a term when back is -1 or
+    +1: coeff*cur + (shift - prev), or coeff*cur + (prev + shift).
+
+    An addend that is zero is +0, so the sum is +0 when it is zero even
+    where coeff*cur is -0, and every zero term prints as ``0``.  Any other
+    back takes ``_recurrence``'s step.
+    """
+    prev, cur = Decimal(r.x0), Decimal(r.x1)
+    if r.back not in (-1, 1):
+        yield from _recurrence(r, count, prev, cur)
+        return
+    coeff, shift, fma, minus = Decimal(r.coeff), Decimal(r.shift), ctx.fma, r.back == -1
+    for _ in range(count):
+        yield prev
+        prev, cur = cur, fma(coeff, cur, shift - prev if minus else prev + shift)
+
+
 def _decimal_terms(kind: SequenceKind, count: int) -> list[str]:
     """The first ``count`` terms in decimal, each string equal to ``str`` of
     the int that ``sequence`` returns, in time linear in the output size.
 
-    The recurrence runs in ``Decimal`` under a local exact context, since
-    ``str(Decimal)`` is linear in the digits where ``str(int)`` is
-    quadratic.  The interpreter's int-to-str limit still applies: the first
-    term with more digits than ``sys.get_int_max_str_digits()`` (0 or
-    absent means no limit) is converted with ``str(int)``, which raises the
-    interpreter's own ``ValueError``, and no later term is computed.  Terms
-    are formatted only after every term has passed that check, so a run
-    that raises formats none.
+    The recurrence runs in ``Decimal`` (``_decimal_recurrence``) under a
+    local exact context, since ``str(Decimal)`` is linear in the digits
+    where ``str(int)`` is quadratic.  The interpreter's int-to-str limit
+    still applies: the first term with more digits than
+    ``sys.get_int_max_str_digits()`` (0 or absent means no limit) is
+    converted with ``str(int)``, which raises the interpreter's own
+    ``ValueError``, and no later term is computed.  Terms are formatted
+    only after every term has passed that check, so a run that raises
+    formats none.
     """
     _require_int("count", count, 0)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    r = kind.recurrence
     terms: list = []
-    with localcontext(_EXACT):
-        for x in _recurrence(r, count, Decimal(r.x0), Decimal(r.x1)):
+    with localcontext(_EXACT) as ctx:
+        for x in _decimal_recurrence(kind.recurrence, count, ctx):
             # adjusted() is the digit count less one, whatever the sign
             if limit and x.adjusted() >= limit:
                 str(int(x))  # raises the interpreter's own ValueError
@@ -233,33 +252,53 @@ def check_pell_links(n: int) -> tuple[bool, bool]:
     return even_ok, odd_ok
 
 
-def _lucas_u(r: RecurrenceSpec, k: int) -> tuple[int, int, int]:
-    """(U[k], U[k+1], T[k]) for U[j+1] = coeff*U[j] + back*U[j-1] from
-    U[0] = 0, U[1] = 1, and T[k] = U[0] + ... + U[k-1].
+def _lucas_ladder(r: RecurrenceSpec, k: int, *starts: tuple[int, int]) -> list[int]:
+    """x[k] of the recurrence ``r`` from each start (x[0], x[1]), shift included.
 
-    The bits of k are read from the top.  Each doubles the index,
-        U[2j]   = U[j]*(2*U[j+1] - coeff*U[j])
-        U[2j+1] = U[j+1]**2 + back*U[j]**2
-        T[2j]   = T[j]*(1 + U[j+1] + (1 - coeff)*U[j]) + U[j]**2
-    (valid for every coeff and back, with no division), and a set bit then
-    steps once, which costs only small-by-big products.  That is three big
-    products per bit, two of them squares, and T's product only when the
-    recurrence has a shift; without one T[k] is returned as 0.
+    U and V solve the unshifted recurrence from (0, 1) and (2, coeff), with
+    Q = -back and D = coeff**2 - 4*Q, and T[j] = U[0] + ... + U[j-1] solves
+    it with shift 1 from (0, 0).  So x[j] = x'[j] + shift*T[j], where
+    x'[j] = ((2*x1 - coeff*x0)*U[j] + x0*V[j])/2 solves it unshifted.
+
+    The bits of k are read from the top, each taking the index j to 2j or
+    2j + 1.  With W = U[j+1] = (coeff*U[j] + V[j])/2,
+        U[2j]   = U[j]*V[j]      V[2j]   = D*U[j]**2 + 2*Q**j
+        U[2j+1] = W*V[j] - Q**j  V[2j+1] = D*U[j]*W + coeff*Q**j
+        T[2j]   = T[j]*(1 + W + (1 - coeff)*U[j]) + U[j]**2
+        T[2j+1] = T[j]*(1 + W + back*U[j]) + U[j]*(W + 1)
+    and every division is exact.  That is two big products per bit, and a
+    third for T only when the recurrence has a shift (Q**j is 1 or -1 when
+    back is).  The last bit, m, forms each x'[k] in one big product,
+        x'[2j+m] = x'[j+m]*V[j] - Q**j*x'[m],
+    and takes U[j]**2 or U[j]*W only for T.
     (M. Joye and J.-J. Quisquater, "Efficient computation of full Lucas
     sequences", Electronics Letters 32(6), 1996.)
     """
-    c, b, shifted = r.coeff, r.back, r.shift != 0
-    u, u1, t = 0, 1, 0
-    for bit in bin(k)[2:]:
-        uu = u * u
-        if shifted:
-            t = t * (1 + u1 + (1 - c) * u) + uu
-        u, u1 = u * (2 * u1 - c * u), u1 * u1 + b * uu
+    c, q, shift = r.coeff, -r.back, r.shift
+    d = c * c - 4 * q
+    u, v, t, qj = 0, 2, 0, 1  # U[j], V[j], T[j] and Q**j at j = 0
+    bits = bin(k)[2:]
+    for i, bit in enumerate(bits, 1 - len(bits)):  # i == 0 at the last bit
         if bit == "1":
-            if shifted:
-                t += u
-            u, u1 = u1, c * u1 + b * u
-    return u, u1, t
+            w = (c * u + v) >> 1
+            uw = u * w if i or shift else 0
+            if shift:
+                t = t * (1 + w - q * u) + uw + u
+            if i:
+                u, v, qj = w * v - qj, d * uw + c * qj, q * qj * qj
+        else:
+            w = u
+            uw = u * u if i or shift else 0
+            if shift:
+                t = t * (1 + (((2 - c) * u + v) >> 1)) + uw
+            if i:
+                u, v, qj = u * v, d * uw + 2 * qj, qj * qj
+    m = bit == "1"
+    vw = (d * u + c * v) >> 1 if m else v  # V[j+m]; w is U[j+m]
+    return [
+        (((2 * x1 - c * x0) * w + x0 * vw) >> 1) * v - qj * (x1 if m else x0) + shift * t
+        for x0, x1 in starts
+    ]
 
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -269,11 +308,10 @@ def balancing_matrix_power(n: int) -> Matrix2:
     """n-th power of ((6, 1), (-1, 0)), in O(log n) big-integer products.
 
     The power carries consecutive balancing numbers,
-    ((B[n+1], B[n]), (-B[n], -B[n-1])), and B is the balancing
-    recurrence's U, so it is read off ``_lucas_u`` with
-    -B[n-1] = B[n+1] - 6*B[n].
+    ((B[n+1], B[n]), (-B[n], -B[n-1])), and B[j] and B[j+1] both solve the
+    balancing recurrence, from (0, 1) and from (1, 6), so one
+    ``_lucas_ladder`` gives both, and -B[n-1] = B[n+1] - 6*B[n].
     """
     _require_int("exponent", n, 1)
-    r = BALANCING.recurrence
-    u, u1, _ = _lucas_u(r, n)
-    return (u1, u), (-u, u1 - r.coeff * u)
+    b, b1 = _lucas_ladder(BALANCING.recurrence, n, (0, 1), (1, 6))
+    return (b1, b), (-b, b1 - 6 * b)

@@ -104,7 +104,9 @@ def test_term_matches_the_linear_sequence(spec, k):
 
 @pytest.mark.parametrize("kind", NAMED_KINDS.values(), ids=lambda k: k.name)
 def test_term_far_out_matches_the_linear_sequence(kind):
-    assert term(kind, 5000) == sequence(kind, 5001)[-1]
+    # an even and an odd last bit
+    terms = sequence(kind, 5002)
+    assert (term(kind, 5000), term(kind, 5001)) == (terms[5000], terms[5001])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
@@ -314,3 +316,9 @@ def test_term_matches_the_linear_sequence_at_powers_of_two(kind):
     terms = sequence(kind, ENGINE_INDICES[-1] + 1)
     for k in ENGINE_INDICES:
         assert term(kind, k) == terms[k], k
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS, ids=lambda k: k.name)
+def test_decimal_terms_are_the_str_of_the_int_terms(kind):
+    # back -1 and +1 take the fused multiply-add, every other back the plain step
+    assert _decimal_terms(kind, 300) == [str(t) for t in sequence(kind, 300)]
