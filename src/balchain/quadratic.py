@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, isqrt, nextafter
 
-from .sequences import BALANCING, _is_int, _require_int, term
+from .sequences import _balancing_pair, _is_int, _require_int
 
 __all__ = [
     "QuadInt",
@@ -105,8 +105,7 @@ def beta_power_identity(n: int) -> bool:
     range in one walk.
     """
     _require_int("index", n, 1)
-    b_next = term(BALANCING, n + 1)
-    b_cur = term(BALANCING, n)
+    b_cur, b_next = _balancing_pair(n)
     return BETA ** (n + 1) == BETA * b_next - b_cur
 
 
@@ -171,5 +170,6 @@ def silver_ratio_gap(n: int, digits: int = 50) -> Fraction:
     """
     _require_int("index", n, 2)
     lo, _ = sqrt2_bounds(digits)
-    ratio = Fraction(term(BALANCING, n - 1), term(BALANCING, n))
+    b_prev, b_n = _balancing_pair(n - 1)
+    ratio = Fraction(b_prev, b_n)
     return 3 - 2 * lo - ratio

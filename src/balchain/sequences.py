@@ -243,13 +243,12 @@ def check_sum_identity(n: int) -> bool:
 
 
 def check_pell_links(n: int) -> tuple[bool, bool]:
-    """Check P[2n] == 2*B[n] and P[2n+1] == B[n+1] - B[n]."""
+    """Check P[2n] == 2*B[n] and P[2n+1] == B[n+1] - B[n], each pair of
+    consecutive terms from one ``_lucas_ladder``."""
     _require_int("index", n, 0)
-    b_n = term(BALANCING, n)
-    b_next = term(BALANCING, n + 1)
-    even_ok = term(PELL, 2 * n) == 2 * b_n
-    odd_ok = term(PELL, 2 * n + 1) == b_next - b_n
-    return even_ok, odd_ok
+    b_n, b_next = _balancing_pair(n)
+    p_even, p_odd = _lucas_ladder(PELL.recurrence, 2 * n, (0, 1), (1, 2))
+    return p_even == 2 * b_n, p_odd == b_next - b_n
 
 
 def _lucas_ladder(r: RecurrenceSpec, k: int, *starts: tuple[int, int]) -> list[int]:
@@ -310,8 +309,15 @@ def balancing_matrix_power(n: int) -> Matrix2:
     The power carries consecutive balancing numbers,
     ((B[n+1], B[n]), (-B[n], -B[n-1])), and B[j] and B[j+1] both solve the
     balancing recurrence, from (0, 1) and from (1, 6), so one
-    ``_lucas_ladder`` gives both, and -B[n-1] = B[n+1] - 6*B[n].
+    ``_lucas_ladder`` gives both (``_balancing_pair``), and -B[n-1] =
+    B[n+1] - 6*B[n].
     """
     _require_int("exponent", n, 1)
-    b, b1 = _lucas_ladder(BALANCING.recurrence, n, (0, 1), (1, 6))
+    b, b1 = _balancing_pair(n)
     return (b1, b), (-b, b1 - 6 * b)
+
+
+def _balancing_pair(n: int) -> list[int]:
+    """[B[n], B[n+1]] from one ``_lucas_ladder``: the two solve the
+    balancing recurrence from (0, 1) and from (1, 6)."""
+    return _lucas_ladder(BALANCING.recurrence, n, (0, 1), (1, 6))

@@ -3,7 +3,7 @@
 * solve_exact    -- exact fractions from the balance equations: an O(nnz)
                     back-substitution when no row jumps up by more than
                     one state (the chain is skip-free to the right),
-                    fraction Gaussian elimination otherwise
+                    exact state reduction on the int store otherwise
 * power_iteration -- float fixed-point iteration of v <- v*P* on the
                     diagonal-shifted chain P* = (P - sI)/(1 - s), which
                     has the same stationary vector and a wider spectral
@@ -51,7 +51,11 @@ RNG_ALGORITHM = "mt19937"
 
 
 class SolverError(Exception):
-    """The balance system is singular: the chain is not irreducible."""
+    """``solve_exact`` raises it when the chain has more than one closed
+    class, so more than one stationary vector; a reducible chain with one
+    closed class solves, with 0 on its transient states.  The CLI also
+    raises it for a reducible matrix file, and for a periodic one under
+    power iteration."""
 
 
 _SINGULAR = "singular balance system; the chain is not irreducible"
@@ -87,15 +91,17 @@ def solve_exact(m: StochasticMatrix) -> list[Fraction]:
     and every superdiagonal entry P[j-1][j] is nonzero, column j's
     equation gives pi[j-1] from pi[j..n-1], so pi is back-substituted in
     O(nnz) on the matrix's int numerators (``_skip_free_weights``) and
-    each entry is reduced once.  Any other matrix goes to fraction
-    Gaussian elimination.  Both routes solve the same system, so they
-    return equal fractions.  The skip-free system is never singular;
-    elimination raises SolverError when its system is.
+    each entry is reduced once.  Any other matrix goes to exact state
+    reduction on the same numerators (``_reduce_states``), which touches
+    only the stored cells and their fill-in.  Either route returns the
+    one stationary vector, 0 on the transient states, so they agree
+    wherever both apply.  A skip-free chain has one closed class; state
+    reduction raises SolverError on a chain with more than one.
     """
     _require_matrix(m)
     w = _skip_free_weights(m.den, m.numerators)
     if w is None:
-        return _solve_gauss(m)
+        return _reduce_states(m.numerators)
     total = sum(w)
     return [Fraction(v, total) for v in w]
 
@@ -135,46 +141,53 @@ def _skip_free_weights(den: int, rows: tuple[dict[int, int], ...]) -> list[int] 
     return [v // g for v in w] if g > 1 else w
 
 
-def _solve_gauss(m: StochasticMatrix) -> list[Fraction]:
-    """Fraction Gaussian elimination on the augmented balance system.
+def _reduce_states(rows: tuple[dict[int, int], ...]) -> list[Fraction]:
+    """Stationary vector by exact state reduction on the int numerators.
 
-    Row j is column j of P - I, read from the int store in O(nnz), with
-    its right-hand side 0 as the last column; the redundant row 0 becomes
-    sum(pi) == 1, all ones.  A column pivots on its first nonzero entry:
-    in exact arithmetic neither the solution nor whether the system is
-    singular depends on which nonzero is taken.
+    The states go from n-1 down, the anchor state 0 last.  Taking state k
+    away leaves the chain watched on the states still left: each row i
+    with a cell x = A[i][k] gains x*A[k][j]/S_k for each of k's exits j,
+    where the pivot S_k is the sum of those exits.  Nothing is subtracted,
+    and only stored cells and their fill-in are touched.  A row stays ints
+    over its own scale c[i] (A[i][j]/c[i] is the watched chain's P[i][j]
+    times den): it is multiplied by S_k to take the update, then divided
+    by its gcd with c[i]*S_k.  Back from pi[anchor] = 1, pi[k] is c[k]/S_k
+    times sum(pi[i]*x/c[i]) over the cells x = A[i][k] that k took away.
+
+    A zero pivot is a state that reaches no state left, the anchor
+    included: it lies in a closed class without state 0, and a second
+    pass anchors on it.  A zero pivot on that pass is a second closed
+    class, and SolverError.  (W. K. Grassmann, M. I. Taksar and D. P.
+    Heyman, Oper. Res. 33(5), 1985; W. J. Stewart, Introduction to the
+    Numerical Solution of Markov Chains, 1994, section 2.7.)
     """
-    n, den = m.n, m.den
-    zero, one = Fraction(0), Fraction(1)
-    a = [[one] * (n + 1)] + [[zero] * j + [-one] + [zero] * (n - j) for j in range(1, n)]
-    for i, cells in enumerate(m.numerators):
-        for j, v in cells.items():
-            if j:
-                a[j][i] += Fraction(v, den)
-
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise SolverError(_SINGULAR)
-        a[col], a[pivot] = a[pivot], a[col]
-        pivot_row = a[col]
-        # the pivot row's nonzeros right of col; column col is not read again
-        pivot_cells = [(k, x) for k, x in enumerate(pivot_row[col + 1 :], col + 1) if x]
-        for r in range(col + 1, n):
-            row = a[r]
-            if row[col]:
-                factor = row[col] / pivot_row[col]
-                for k, x in pivot_cells:
-                    row[k] -= factor * x
-
-    pi = [zero] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n]
-        row = a[r]
-        for k in range(r + 1, n):
-            acc -= row[k] * pi[k]
-        pi[r] = acc / row[r]
-    return pi
+    n, anchor = len(rows), 0
+    for _ in range(2):
+        order = [s for s in range(n - 1, -1, -1) if s != anchor] + [anchor]
+        a, c, inflow = [dict(cells) for cells in rows], [1] * n, []
+        for r, k in enumerate(order[:-1]):
+            exits = {j: v for j, v in a[k].items() if j != k}
+            s = sum(exits.values())
+            if not s:
+                break
+            cells = []
+            for i in order[r + 1 :]:
+                if x := a[i].pop(k, 0):
+                    cells.append((i, Fraction(x, c[i])))
+                    row = {j: v * s for j, v in a[i].items()}
+                    for j, v in exits.items():
+                        row[j] = row.get(j, 0) + x * v
+                    g = gcd(*row.values(), c[i] * s)
+                    a[i], c[i] = {j: v // g for j, v in row.items()}, c[i] * s // g
+            inflow.append((k, Fraction(c[k], s), cells))
+        else:
+            pi = [Fraction(1)] * n
+            for k, scale, cells in reversed(inflow):
+                pi[k] = scale * sum(pi[i] * p for i, p in cells)
+            total = sum(pi)
+            return [p / total for p in pi]
+        anchor = k
+    raise SolverError(_SINGULAR)
 
 
 def power_iteration(

@@ -28,11 +28,11 @@ from .sequences import (
     BALANCING,
     RecurrenceSpec,
     SequenceKind,
+    _balancing_pair,
     _is_int,
     _recurrence,
     _require_int,
     sequence,
-    term,
 )
 from .steady import solve_exact
 
@@ -210,8 +210,7 @@ def infinite_recursion_identity(i: int) -> bool:
     """Exact ring check: BETA**i - BETA**(i+1) == (B[i+1]-B[i])*(1-BETA) - 4*B[i]."""
     _require_int("index", i, 1)
     lhs = BETA**i - BETA ** (i + 1)
-    b_i = term(BALANCING, i)
-    b_next = term(BALANCING, i + 1)
+    b_i, b_next = _balancing_pair(i)
     rhs = (ONE - BETA) * (b_next - b_i) - 4 * b_i
     return lhs == rhs
 

@@ -1,0 +1,48 @@
+"""Reference solvers that the package's own routes are checked against."""
+
+from fractions import Fraction
+
+from balchain.chains import StochasticMatrix
+from balchain.steady import _SINGULAR, SolverError
+
+
+def _solve_gauss(m: StochasticMatrix) -> list[Fraction]:
+    """Fraction Gaussian elimination on the augmented balance system.
+
+    Row j is column j of P - I, read from the int store in O(nnz), with
+    its right-hand side 0 as the last column; the redundant row 0 becomes
+    sum(pi) == 1, all ones.  A column pivots on its first nonzero entry:
+    in exact arithmetic neither the solution nor whether the system is
+    singular depends on which nonzero is taken.
+    """
+    n, den = m.n, m.den
+    zero, one = Fraction(0), Fraction(1)
+    a = [[one] * (n + 1)] + [[zero] * j + [-one] + [zero] * (n - j) for j in range(1, n)]
+    for i, cells in enumerate(m.numerators):
+        for j, v in cells.items():
+            if j:
+                a[j][i] += Fraction(v, den)
+
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise SolverError(_SINGULAR)
+        a[col], a[pivot] = a[pivot], a[col]
+        pivot_row = a[col]
+        # the pivot row's nonzeros right of col; column col is not read again
+        pivot_cells = [(k, x) for k, x in enumerate(pivot_row[col + 1 :], col + 1) if x]
+        for r in range(col + 1, n):
+            row = a[r]
+            if row[col]:
+                factor = row[col] / pivot_row[col]
+                for k, x in pivot_cells:
+                    row[k] -= factor * x
+
+    pi = [zero] * n
+    for r in range(n - 1, -1, -1):
+        acc = a[r][n]
+        row = a[r]
+        for k in range(r + 1, n):
+            acc -= row[k] * pi[k]
+        pi[r] = acc / row[r]
+    return pi

@@ -31,7 +31,8 @@ from balchain.chains import (
     validate,
 )
 from balchain.cli import _make_family, main
-from balchain.steady import _solve_gauss, n_step, solve_exact
+from balchain.steady import n_step, solve_exact
+from oracles import _solve_gauss
 
 NOT_EXACT = 'an exact number is an int, a Fraction or a string like "1/6"'
 BUDGET = "decimal exponent past +-1000"
@@ -509,13 +510,13 @@ def test_entry_bounds_checked():
 
 
 def solve_by_skip_free_route(monkeypatch, m):
-    """solve_exact(m), failing if it falls back to elimination."""
+    """solve_exact(m), failing if it falls back to state reduction."""
 
-    def no_elimination(m):
-        raise AssertionError("skip-free chain fell back to elimination")
+    def no_reduction(rows):
+        raise AssertionError("skip-free chain fell back to state reduction")
 
     with monkeypatch.context() as patch:
-        patch.setattr(steady, "_solve_gauss", no_elimination)
+        patch.setattr(steady, "_reduce_states", no_reduction)
         return solve_exact(m)
 
 
@@ -551,9 +552,9 @@ def test_band_shape_rejects_cells_off_the_pattern(monkeypatch):
     rows[1][3], rows[1][0] = R(1, 100), rows[1][0] - R(1, 100)
     m = StochasticMatrix.from_rows(rows)
     calls = []
-    monkeypatch.setattr(steady, "_solve_gauss", lambda m: calls.append(m) or [])
+    monkeypatch.setattr(steady, "_reduce_states", lambda rows: calls.append(rows) or [])
     solve_exact(m)
-    assert calls == [m]
+    assert calls == [m.numerators]
 
 
 def test_empty_matrix_is_rejected_at_construction():

@@ -32,11 +32,11 @@ from balchain.steady import (
     SolverError,
     n_step,
     power_iteration,
-    _solve_gauss,
     simulate,
     solve_exact,
     _unit_float,
 )
+from oracles import _solve_gauss
 
 R = Fraction
 
@@ -587,10 +587,11 @@ def test_simulate_needs_integer_arguments(steps, seed, start, name):
 
 
 def solve_or_singular(solver, m):
+    """solver(m), or the message of the SolverError it raises."""
     try:
         return solver(m)
-    except SolverError:
-        return "singular"
+    except SolverError as exc:
+        return str(exc)
 
 
 # weights of stochastic band rows, zero cells included: column 0 plus a
@@ -691,6 +692,55 @@ def test_irreducible_chains_solve_exactly_by_elimination(m):
     assert_exactly_stationary(m, solve_exact(m))
 
 
+@st.composite
+def sparse_or_dense_matrices(draw):
+    """Stochastic rows of size 1..8 whose cells are zero with a drawn
+    share, from none to most, so many of them are reducible; a row with
+    no weight keeps all its mass."""
+    n = draw(st.integers(1, 8))
+    cells = st.sampled_from([0] * draw(st.sampled_from([0, 1, 3, 9])) + [1, 2, 7])
+    rows = []
+    for i in range(n):
+        row = draw(st.lists(cells, min_size=n, max_size=n))
+        if not any(row):
+            row[i] = 1
+        rows.append([R(w, sum(row)) for w in row])
+    return StochasticMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_matrices())
+# state 0 is transient and {1, 2} is the one closed class: the first pass
+# meets a zero pivot at state 1, which anchors the second
+@example(StochasticMatrix.from_rows([[R(1, 2), R(1, 2), 0], [0, R(1, 3), R(2, 3)], [0, 1, 0]]))
+# two closed classes, {1} and {2}: a zero pivot on both passes
+@example(StochasticMatrix.from_rows([[0, R(1, 2), R(1, 2)], [0, 1, 0], [0, 0, 1]]))
+# the periodic cycle 0 -> 2 -> 1 -> 3 -> 0, which jumps up by two
+@example(StochasticMatrix.from_cells(4, {(0, 2): 1, (2, 1): 1, (1, 3): 1, (3, 0): 1}))
+@example(StochasticMatrix.from_rows([[1]]))  # n = 1
+def test_state_reduction_equals_gaussian_elimination(m):
+    expected = solve_or_singular(_solve_gauss, m)
+    got = solve_or_singular(lambda m: steady._reduce_states(m.numerators), m)
+    assert got == expected
+    if not isinstance(got, str):
+        assert all(type(p) is R for p in got)
+
+
+def test_upward_jumps_by_two_solve_by_state_reduction():
+    # balancing(60) with 1/12 of each row i in 1..57's collapse mass moved
+    # up to cell (i, i + 2): not skip-free, so the fallback solves it
+    rows = [list(row) for row in build(balancing_chain(60)).rows()]
+    for i in range(1, 58):
+        moved = rows[i][0] / 12
+        rows[i][0] -= moved
+        rows[i][i + 2] += moved
+    m = StochasticMatrix.from_rows(rows)
+    assert steady._skip_free_weights(m.den, m.numerators) is None
+    pi = solve_exact(m)
+    assert_exactly_stationary(m, pi)
+    assert pi == _solve_gauss(m)
+
+
 @settings(max_examples=200, deadline=None)
 @given(weighted_matrices())
 # the shift slows this chain, 25 -> 261 iterations: P* has an eigenvalue
@@ -745,9 +795,9 @@ def test_zero_superdiagonal_falls_back_to_elimination(monkeypatch):
     m = StochasticMatrix.from_rows(rows)
     expected = _solve_gauss(m)
     calls = []
-    monkeypatch.setattr(steady, "_solve_gauss", lambda m: calls.append(m) or expected)
+    monkeypatch.setattr(steady, "_reduce_states", lambda rows: calls.append(rows) or expected)
     assert solve_exact(m) == expected
-    assert calls == [m]
+    assert calls == [m.numerators]
 
 
 def test_full_matrix_solves_by_elimination(monkeypatch):
@@ -757,13 +807,13 @@ def test_full_matrix_solves_by_elimination(monkeypatch):
     expected = _solve_gauss(m)
     assert sum(expected) == 1
     calls = []
-    monkeypatch.setattr(steady, "_solve_gauss", lambda m: calls.append(m) or expected)
+    monkeypatch.setattr(steady, "_reduce_states", lambda rows: calls.append(rows) or expected)
     assert solve_exact(m) == expected
-    assert calls == [m]
+    assert calls == [m.numerators]
 
 
-def no_elimination(m):
-    raise AssertionError("skip-free chain fell back to elimination")
+def no_reduction(rows):
+    raise AssertionError("skip-free chain fell back to state reduction")
 
 
 # every family is skip-free with a nonzero superdiagonal, so none of them
@@ -776,7 +826,7 @@ def test_families_take_the_band_route(monkeypatch, family, source):
     if source == "dense":
         m = StochasticMatrix.from_rows(m.rows())
     expected = _solve_gauss(m)
-    monkeypatch.setattr(steady, "_solve_gauss", no_elimination)
+    monkeypatch.setattr(steady, "_reduce_states", no_reduction)
     assert solve_exact(m) == expected
 
 
@@ -791,7 +841,7 @@ def test_skip_free_chain_off_the_band_takes_the_recurrence(monkeypatch):
     m = StochasticMatrix.from_rows(rows)
     assert skip_free(m) and any(0 < j < i - 1 for i, cells in enumerate(m.numerators) for j in cells)
     expected = _solve_gauss(m)
-    monkeypatch.setattr(steady, "_solve_gauss", no_elimination)
+    monkeypatch.setattr(steady, "_reduce_states", no_reduction)
     assert solve_exact(m) == expected
     assert_exactly_stationary(m, expected)
 
