@@ -139,8 +139,16 @@ def _sqrt2_bounds(digits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, scale), Fraction(lo + 1, scale)
 
 
+def _require_rational(value: object) -> None:
+    if not (_is_int(value) or isinstance(value, Fraction)):
+        raise ValueError(f"value must be an int or a Fraction, got {value!r}")
+
+
 def enclosure(x: QuadInt, digits: int = 50) -> tuple[Fraction, Fraction]:
-    """Rational interval [lo, hi] certified to contain the value of x."""
+    """Rational interval [lo, hi] certified to contain the value of x, a
+    QuadInt, or ValueError."""
+    if not isinstance(x, QuadInt):
+        raise ValueError(f"ring element must be a QuadInt, got {x!r}")
     lo2, hi2 = sqrt2_bounds(digits)
     if x.b >= 0:
         return x.a + x.b * lo2, x.a + x.b * hi2
@@ -148,13 +156,17 @@ def enclosure(x: QuadInt, digits: int = 50) -> tuple[Fraction, Fraction]:
 
 
 def gap_bound(value: Fraction, x: QuadInt, digits: int = 50) -> Fraction:
-    """Certified upper bound on |value - x| for a rational value."""
+    """Certified upper bound on |value - x| for a rational value: an int,
+    not a bool, or a Fraction, or ValueError (a float is not exact)."""
+    _require_rational(value)
     lo, hi = enclosure(x, digits)
     return max(abs(value - lo), abs(value - hi))
 
 
 def float_upper(value: Fraction) -> float:
-    """Smallest float that is >= value (directed rounding for reports)."""
+    """Smallest float that is >= value (directed rounding for reports);
+    value is an int, not a bool, or a Fraction, or ValueError."""
+    _require_rational(value)
     approx = float(value)
     if Fraction(approx) >= value:
         return approx

@@ -11,10 +11,11 @@ once per term: ``sequence`` in ints with ``_recurrence``, and ``seq``'s
 fused multiply-add a term.  Every jump to one index, ``term`` and
 ``balancing_matrix_power``, reads the Lucas (U, V) ladder
 ``_lucas_ladder``, which takes two big-integer products per bit of the
-index, three for a shifted recurrence.
+index for every recurrence: a shift moves into the ladder's start values.
 
 Every index, count, exponent, multiplier and recurrence parameter is an
-int (bool excluded); anything else raises ValueError.
+int (bool excluded), a kind is a ``SequenceKind`` and its recurrence a
+``RecurrenceSpec``; anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -94,10 +95,23 @@ class RecurrenceSpec:
 
 @dataclass(frozen=True)
 class SequenceKind:
-    """A named sequence together with the recurrence that generates it."""
+    """A named sequence together with the recurrence that generates it.
+    The name is a str and the recurrence a ``RecurrenceSpec``, or
+    ValueError."""
 
     name: str
     recurrence: RecurrenceSpec
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a str, got {self.name!r}")
+        if not isinstance(self.recurrence, RecurrenceSpec):
+            raise ValueError(f"recurrence must be a RecurrenceSpec, got {self.recurrence!r}")
+
+
+def _require_kind(kind: object) -> None:
+    if not isinstance(kind, SequenceKind):
+        raise ValueError(f"kind must be a SequenceKind, got {kind!r}")
 
 
 BALANCING = SequenceKind("balancing", RecurrenceSpec(6, 0, 0, 1))
@@ -126,9 +140,10 @@ def term(kind: SequenceKind, n: int) -> int:
     """n-th term of the sequence, 0-indexed, in O(log n) big-integer products.
 
     It is read off the Lucas (U, V) ladder ``_lucas_ladder``: two big
-    products per bit of n, and one at the last bit.  A shifted recurrence
-    adds one more per bit, and two at the last, for the sum T of U.
+    products per bit of n, and one at the last bit, shifted recurrence or
+    not.
     """
+    _require_kind(kind)
     _require_int("index", n, 0)
     r = kind.recurrence
     return _lucas_ladder(r, n, (r.x0, r.x1))[0]
@@ -151,6 +166,7 @@ def sequence(kind: SequenceKind, count: int) -> list[int]:
     This is the int reference; ``seq`` prints the same recurrence run in
     ``Decimal`` (``_decimal_terms``).
     """
+    _require_kind(kind)
     r = kind.recurrence
     return list(_recurrence(r, count, r.x0, r.x1))
 
@@ -255,48 +271,51 @@ def _lucas_ladder(r: RecurrenceSpec, k: int, *starts: tuple[int, int]) -> list[i
     """x[k] of the recurrence ``r`` from each start (x[0], x[1]), shift included.
 
     U and V solve the unshifted recurrence from (0, 1) and (2, coeff), with
-    Q = -back and D = coeff**2 - 4*Q, and T[j] = U[0] + ... + U[j-1] solves
-    it with shift 1 from (0, 0).  So x[j] = x'[j] + shift*T[j], where
-    x'[j] = ((2*x1 - coeff*x0)*U[j] + x0*V[j])/2 solves it unshifted.
+    Q = -back and D = coeff**2 - 4*Q, and so does every
+    y[j] = ((2*y[1] - coeff*y[0])*U[j] + y[0]*V[j])/2.  The shift s moves
+    into the start values: with g(j) = j**p, y[j] = e*x[j] - s*g(j) solves
+    the unshifted recurrence when e = g(j+1) - coeff*g(j) - back*g(j-1) is
+    a nonzero constant.  That is p = 0 and e = 1 - coeff - back; where that
+    e is 0, p = 1 and e = 2 - coeff; where both are 0 (coeff 2, back -1, a
+    double root at 1), p = 2 and e = 2.  So the ladder runs from
+    (e*x[0] - s*g(0), e*x[1] - s), and x[k] = (y[k] + s*g(k))/e is an exact
+    division (undetermined coefficients: R. L. Graham, D. E. Knuth and
+    O. Patashnik, "Concrete Mathematics", 2nd ed., ch. 7).
 
     The bits of k are read from the top, each taking the index j to 2j or
-    2j + 1.  With W = U[j+1] = (coeff*U[j] + V[j])/2,
+    2j + 1; the top bit takes j from 0 to 1.  With W = U[j+1] =
+    (coeff*U[j] + V[j])/2,
         U[2j]   = U[j]*V[j]      V[2j]   = D*U[j]**2 + 2*Q**j
         U[2j+1] = W*V[j] - Q**j  V[2j+1] = D*U[j]*W + coeff*Q**j
-        T[2j]   = T[j]*(1 + W + (1 - coeff)*U[j]) + U[j]**2
-        T[2j+1] = T[j]*(1 + W + back*U[j]) + U[j]*(W + 1)
-    and every division is exact.  That is two big products per bit, and a
-    third for T only when the recurrence has a shift (Q**j is 1 or -1 when
-    back is).  The last bit, m, forms each x'[k] in one big product,
-        x'[2j+m] = x'[j+m]*V[j] - Q**j*x'[m],
-    and takes U[j]**2 or U[j]*W only for T.
+    and every division is exact.  That is two big products per bit (Q**j
+    is 1 or -1 when back is).  The last bit, m, forms each y[k] in one big
+    product,
+        y[2j+m] = y[j+m]*V[j] - Q**j*y[m].
     (M. Joye and J.-J. Quisquater, "Efficient computation of full Lucas
     sequences", Electronics Letters 32(6), 1996.)
     """
-    c, q, shift = r.coeff, -r.back, r.shift
+    c, q, s = r.coeff, -r.back, r.shift
     d = c * c - 4 * q
-    u, v, t, qj = 0, 2, 0, 1  # U[j], V[j], T[j] and Q**j at j = 0
-    bits = bin(k)[2:]
-    for i, bit in enumerate(bits, 1 - len(bits)):  # i == 0 at the last bit
+    e, sg0, sgk = 1 - c + q, s, s  # e, s*g(0) and s*g(k); g(1) = 1
+    if not e:
+        e, sg0, sgk = 2 - c, 0, s * k
+    if not e:
+        e, sgk = 2, s * k * k
+    # U[j], V[j] and Q**j after the top bit, unless that bit is the last
+    u, v, qj = (1, c, q) if k > 1 else (0, 2, 1)
+    for bit in bin(k)[3:-1]:  # every bit but the top and the last
         if bit == "1":
             w = (c * u + v) >> 1
-            uw = u * w if i or shift else 0
-            if shift:
-                t = t * (1 + w - q * u) + uw + u
-            if i:
-                u, v, qj = w * v - qj, d * uw + c * qj, q * qj * qj
+            u, v, qj = w * v - qj, d * (u * w) + c * qj, q * qj * qj
         else:
-            w = u
-            uw = u * u if i or shift else 0
-            if shift:
-                t = t * (1 + (((2 - c) * u + v) >> 1)) + uw
-            if i:
-                u, v, qj = u * v, d * uw + 2 * qj, qj * qj
-    m = bit == "1"
-    vw = (d * u + c * v) >> 1 if m else v  # V[j+m]; w is U[j+m]
+            u, v, qj = u * v, d * (u * u) + 2 * qj, qj * qj
+    m = k & 1
+    w, vw = ((c * u + v) >> 1, (d * u + c * v) >> 1) if m else (u, v)  # U[j+m], V[j+m]
     return [
-        (((2 * x1 - c * x0) * w + x0 * vw) >> 1) * v - qj * (x1 if m else x0) + shift * t
+        ((((2 * y1 - c * y0) * w + y0 * vw) >> 1) * v - qj * (y1 if m else y0) + sgk) // e
         for x0, x1 in starts
+        for y0 in [e * x0 - sg0]
+        for y1 in [e * x1 - s]
     ]
 
 

@@ -12,6 +12,7 @@ from balchain import (
     BALANCING,
     BETA,
     ParameterError,
+    SequenceKind,
     StochasticMatrix,
     balancing_chain,
     beta_power_row,
@@ -107,6 +108,13 @@ MATRIX_ARGUMENTS = {
 }
 
 
+# each public entry point that takes a sequence kind, called with one value
+KIND_ARGUMENTS = {
+    "term": lambda v: term(v, 3),
+    "sequence": lambda v: sequence(v, 3),
+}
+
+
 @pytest.mark.parametrize("value", [None, "balancing", [[1]]], ids=repr)
 @pytest.mark.parametrize("entry", MATRIX_ARGUMENTS)
 def test_matrix_and_family_arguments_raise_parameter_error(entry, value):
@@ -114,6 +122,25 @@ def test_matrix_and_family_arguments_raise_parameter_error(entry, value):
     # matrix_from_json(None) a bare TypeError
     with pytest.raises(ParameterError):
         MATRIX_ARGUMENTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [None, "balancing", BALANCING.recurrence], ids=repr)
+@pytest.mark.parametrize("entry", KIND_ARGUMENTS)
+def test_kind_arguments_raise_value_error(entry, value):
+    # before, term(None, 3) and sequence(None, 3) raised a bare AttributeError
+    with pytest.raises(ValueError, match="^kind must be a SequenceKind, got "):
+        KIND_ARGUMENTS[entry](value)
+
+
+def test_sequence_kind_fields_raise_value_error():
+    # before, SequenceKind("x", None) was accepted and term on it raised a
+    # bare AttributeError
+    with pytest.raises(ValueError, match="^recurrence must be a RecurrenceSpec, got None$"):
+        SequenceKind("x", None)
+    with pytest.raises(ValueError, match="^recurrence must be a RecurrenceSpec, got "):
+        SequenceKind("x", BALANCING)
+    with pytest.raises(ValueError, match="^name must be a str, got None$"):
+        SequenceKind(None, BALANCING.recurrence)
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, "3", -1, 0], ids=repr)

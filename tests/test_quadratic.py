@@ -197,6 +197,36 @@ def test_float_upper_rounds_toward_infinity():
     up = float_upper(third)
     assert Fraction(up) >= third
     assert float_upper(Fraction(1, 2)) == 0.5
+    assert float_upper(3) == 3.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda v: gap_bound(v, BETA), float_upper],
+    ids=["gap_bound", "float_upper"],
+)
+@pytest.mark.parametrize("value", [0.5, 1.5, True, None, "1/2", 1j], ids=repr)
+def test_rational_values_must_be_an_int_or_a_fraction(call, value):
+    # before, gap_bound(0.5, BETA) returned the float 0.3284..., no
+    # certified bound, and float_upper(None) raised a bare TypeError
+    with pytest.raises(ValueError, match="^value must be an int or a Fraction, got "):
+        call(value)
+
+
+def test_gap_bound_takes_an_int_value():
+    assert gap_bound(0, BETA, 5) == max(abs(x) for x in enclosure(BETA, 5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [enclosure, lambda x: gap_bound(Fraction(1, 2), x)],
+    ids=["enclosure", "gap_bound"],
+)
+@pytest.mark.parametrize("x", [None, 3, Fraction(1, 2), (3, -2)], ids=repr)
+def test_ring_arguments_must_be_a_quadint(call, x):
+    # before, enclosure(None) raised a bare AttributeError
+    with pytest.raises(ValueError, match="^ring element must be a QuadInt, got "):
+        call(x)
 
 
 def test_silver_ratio_gap_values():

@@ -95,8 +95,11 @@ small = st.integers(min_value=-4, max_value=4)
     ),
     st.integers(min_value=0, max_value=300),
 )
-# 1 - coeff - back == 0: no constant offset removes the shift
+# 1 - coeff - back == 0, so no constant offset removes the shift: at the
+# double root (coeff 2, back -1) a multiple of j**2 does, and at coeff 3 a
+# multiple of j, with the ladder dividing by 2 - coeff = -1
 @example(RecurrenceSpec(2, 3, 5, -1, back=-1), 199)
+@example(RecurrenceSpec(3, 2, 1, 4, back=-2), 257)
 def test_term_matches_the_linear_sequence(spec, k):
     kind = SequenceKind("x", spec)
     assert term(kind, k) == sequence(kind, k + 1)[-1]
@@ -299,9 +302,11 @@ ENGINE_SPECS = [
     for back in (-2, 0, 3)
     for coeff, shift, x0, x1 in ((2, 0, 0, 1), (-3, 1, 2, -1), (5, -4, 1, 3))
 ] + [
-    RecurrenceSpec(2, 3, 5, -1, back=-1),  # 1 - coeff - back == 0
+    RecurrenceSpec(2, 3, 5, -1, back=-1),  # 1 - coeff - back == 0, a double root
     RecurrenceSpec(0, 2, 1, 1, back=1),  # 1 - coeff - back == 0, coeff 0
     RecurrenceSpec(1, -1, 0, 0, back=0),  # 1 - coeff - back == 0, back 0
+    RecurrenceSpec(3, 2, 1, 4, back=-2),  # 1 - coeff - back == 0, 2 - coeff == -1
+    RecurrenceSpec(-2, 1, 0, 1, back=3),  # 1 - coeff - back == 0, 2 - coeff == 4
 ]
 
 ENGINE_KINDS = (
