@@ -513,7 +513,19 @@ class ValidationReport:
 
 def validate(m: StochasticMatrix) -> ValidationReport:
     """Check irreducibility and aperiodicity on the nonzero cells, O(nnz);
-    stochasticity holds for every matrix, as ``_exact`` checks it."""
+    stochasticity holds for every matrix, as ``_exact`` checks it.
+
+    One breadth-first ``reach`` from state 0 runs on the rows and one on
+    the reverse adjacency, built once (linear graph search: R. E. Tarjan,
+    SIAM J. Comput. 1(2), 1972).  Each keeps a list of BFS levels, -1 for
+    a state not yet seen, and stops once every state is seen, since no
+    level changes after that; the states still at -1 are ``unreachable``
+    and ``non_returning``, in ascending order.  The period of an
+    irreducible chain is the gcd of level(u) + 1 - level(v) over its
+    edges u -> v (E. V. Denardo, Math. Oper. Res. 2(1), 1977), and the
+    scan stops at the end of the first row where it reaches 1: at row 0
+    for every family, whose state 0 keeps some of its mass.
+    """
     _require_matrix(m)
     n = m.n
     adjacency = m.numerators  # a row's keys are its targets
@@ -522,40 +534,36 @@ def validate(m: StochasticMatrix) -> ValidationReport:
         for j in targets:
             reverse[j].append(i)
 
-    def reach(adj: Sequence[Iterable[int]]) -> tuple[set[int], dict[int, int]]:
-        seen = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in seen:
-                        seen[v] = seen[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return set(seen), seen
+    def reach(adj: Sequence[Iterable[int]]) -> tuple[list[int], list[int]]:
+        """BFS levels from state 0 and the states left unseen."""
+        level = [-1] * n
+        level[0] = 0
+        order = [0]  # the BFS queue: the loop reads what it appends
+        for u in order:
+            if len(order) == n:
+                return level, []
+            step = level[u] + 1
+            for v in adj[u]:
+                if level[v] < 0:
+                    level[v] = step
+                    order.append(v)
+        return level, [i for i in range(n) if level[i] < 0]
 
-    forward, depth = reach(adjacency)
-    backward, _ = reach(reverse)
-    unreachable = sorted(set(range(n)) - forward)
-    non_returning = sorted(set(range(n)) - backward)
+    depth, unreachable = reach(adjacency)
+    non_returning = reach(reverse)[1]
 
     period: int | None = None
     aperiodic: bool | None = None
     if not unreachable and not non_returning:
         g = 0
-        for u in range(n):
-            for v in adjacency[u]:
-                g = gcd(g, depth[u] + 1 - depth[v])
-        period = abs(g)
-        aperiodic = period == 1
-    return ValidationReport(
-        n=n,
-        unreachable=unreachable,
-        non_returning=non_returning,
-        period=period,
-        aperiodic=aperiodic,
-    )
+        for u, targets in enumerate(adjacency):
+            step = depth[u] + 1
+            for v in targets:
+                g = gcd(g, step - depth[v])
+            if g == 1:
+                break
+        period, aperiodic = g, g == 1
+    return ValidationReport(n, unreachable, non_returning, period, aperiodic)
 
 
 def _cell_strings(m: StochasticMatrix) -> list[list[str]]:

@@ -18,6 +18,7 @@ from pathlib import Path
 from .chains import (
     KINDS,
     ChainFamily,
+    ParameterError,
     StochasticMatrix,
     _exact_number,
     build,
@@ -157,6 +158,9 @@ _SCOPES: dict[str, tuple[str, dict[str, tuple[str, ...]]]] = {
 }
 # --max-n default and least value in the modes where it is optional
 _MAX_N = {"all": (25, 3), "beta_powers": (100, 1), "ratio": (10, 2)}
+# limit's enclosure of sqrt(2) squares an integer of 2 * --digits digits; at
+# this cap limit --sizes 8,16,32 takes ~0.7 s and --ratio --max-n 10 ~0.2 s
+_MAX_DIGITS = 50000
 # solve's method flags, filled in after the scope check has seen what was given
 _SOLVE_DEFAULTS = {"tol": 1e-12, "max_iter": 10**6, "steps": 10**6, "seed": 0, "start": 0}
 
@@ -331,6 +335,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
     mode, max_n = _scope(args, "limit")
+    if args.digits > _MAX_DIGITS:
+        raise ParameterError(f"--digits must be <= {_MAX_DIGITS}, got {args.digits}")
     if mode == "ratio":
         table = [(n, float_upper(silver_ratio_gap(n, args.digits))) for n in range(2, max_n + 1)]
     else:

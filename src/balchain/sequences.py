@@ -280,7 +280,9 @@ def _lucas_ladder(r: RecurrenceSpec, k: int, *starts: tuple[int, int]) -> list[i
     double root at 1), p = 2 and e = 2.  So the ladder runs from
     (e*x[0] - s*g(0), e*x[1] - s), and x[k] = (y[k] + s*g(k))/e is an exact
     division (undetermined coefficients: R. L. Graham, D. E. Knuth and
-    O. Patashnik, "Concrete Mathematics", 2nd ed., ch. 7).
+    O. Patashnik, "Concrete Mathematics", 2nd ed., ch. 7).  With s = 0, y
+    is x itself: e is 1 and y[k] is returned as it is, with no addition
+    and no division, each a linear pass over a big term.
 
     The bits of k are read from the top, each taking the index j to 2j or
     2j + 1; the top bit takes j from 0 to 1.  With W = U[j+1] =
@@ -296,7 +298,8 @@ def _lucas_ladder(r: RecurrenceSpec, k: int, *starts: tuple[int, int]) -> list[i
     """
     c, q, s = r.coeff, -r.back, r.shift
     d = c * c - 4 * q
-    e, sg0, sgk = 1 - c + q, s, s  # e, s*g(0) and s*g(k); g(1) = 1
+    # e, s*g(0) and s*g(k); g(1) = 1.  With no shift y is x: e = 1
+    e, sg0, sgk = (1 - c + q, s, s) if s else (1, 0, 0)
     if not e:
         e, sg0, sgk = 2 - c, 0, s * k
     if not e:
@@ -311,12 +314,13 @@ def _lucas_ladder(r: RecurrenceSpec, k: int, *starts: tuple[int, int]) -> list[i
             u, v, qj = u * v, d * (u * u) + 2 * qj, qj * qj
     m = k & 1
     w, vw = ((c * u + v) >> 1, (d * u + c * v) >> 1) if m else (u, v)  # U[j+m], V[j+m]
-    return [
-        ((((2 * y1 - c * y0) * w + y0 * vw) >> 1) * v - qj * (y1 if m else y0) + sgk) // e
+    ys = [
+        (((2 * y1 - c * y0) * w + y0 * vw) >> 1) * v - qj * (y1 if m else y0)
         for x0, x1 in starts
         for y0 in [e * x0 - sg0]
         for y1 in [e * x1 - s]
     ]
+    return [(y + sgk) // e for y in ys] if s else ys
 
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]

@@ -1,8 +1,10 @@
-"""Reference solvers that the package's own routes are checked against."""
+"""Reference implementations that the package's own routes are checked against."""
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import gcd
 
-from balchain.chains import StochasticMatrix
+from balchain.chains import StochasticMatrix, ValidationReport, _require_matrix
 from balchain.steady import _SINGULAR, SolverError
 
 
@@ -46,3 +48,50 @@ def _solve_gauss(m: StochasticMatrix) -> list[Fraction]:
             acc -= row[k] * pi[k]
         pi[r] = acc / row[r]
     return pi
+
+
+def validate(m: StochasticMatrix) -> ValidationReport:
+    """Check irreducibility and aperiodicity on the nonzero cells, O(nnz);
+    stochasticity holds for every matrix, as ``_exact`` checks it."""
+    _require_matrix(m)
+    n = m.n
+    adjacency = m.numerators  # a row's keys are its targets
+    reverse: list[list[int]] = [[] for _ in range(n)]
+    for i, targets in enumerate(adjacency):
+        for j in targets:
+            reverse[j].append(i)
+
+    def reach(adj: Sequence[Iterable[int]]) -> tuple[set[int], dict[int, int]]:
+        seen = {0: 0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in seen:
+                        seen[v] = seen[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        return set(seen), seen
+
+    forward, depth = reach(adjacency)
+    backward, _ = reach(reverse)
+    unreachable = sorted(set(range(n)) - forward)
+    non_returning = sorted(set(range(n)) - backward)
+
+    period: int | None = None
+    aperiodic: bool | None = None
+    if not unreachable and not non_returning:
+        g = 0
+        for u in range(n):
+            for v in adjacency[u]:
+                g = gcd(g, depth[u] + 1 - depth[v])
+        period = abs(g)
+        aperiodic = period == 1
+    return ValidationReport(
+        n=n,
+        unreachable=unreachable,
+        non_returning=non_returning,
+        period=period,
+        aperiodic=aperiodic,
+    )

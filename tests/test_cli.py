@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from balchain import cli
 from balchain.chains import balancing_chain, build, matrix_to_json
-from balchain.cli import _build_parser, main
+from balchain.cli import _MAX_DIGITS, _build_parser, main
 from balchain.sequences import NAMED_KINDS, RecurrenceSpec, SequenceKind, sequence
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
@@ -483,6 +484,24 @@ def test_max_n_at_the_mode_minimum_runs(capsys):
     assert code == 0 and "balancing,3,,True,0" in out.splitlines()
     code, out, _ = run_cli(capsys, "verify", "balancing", "--min-n", "5", "--max-n", "5")
     assert code == 0 and out.splitlines()[1:] == ["balancing,5,,True,0"]
+
+
+@pytest.mark.parametrize("mode", [("--sizes", "8,16,32"), ("--ratio",)])
+def test_limit_digits_past_the_cap_exits_2_before_any_work(capsys, monkeypatch, mode):
+    def never(*args, **kwargs):
+        raise AssertionError("a table was computed past the --digits cap")
+
+    monkeypatch.setattr(cli, "truncation_convergence", never)
+    monkeypatch.setattr(cli, "silver_ratio_gap", never)
+    code, out, err = run_cli(capsys, "limit", *mode, "--digits", str(_MAX_DIGITS + 1))
+    assert (code, out) == (2, "")
+    message = f"--digits must be <= {_MAX_DIGITS}, got {_MAX_DIGITS + 1}"
+    assert json.loads(err) == {"error": {"code": 2, "message": message}}
+
+
+def test_limit_digits_at_the_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "limit", "--ratio", "--max-n", "2", "--digits", str(_MAX_DIGITS))
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()] == ["2"]
 
 
 def test_explicit_min_n_zero_is_not_the_default(capsys):

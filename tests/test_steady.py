@@ -36,6 +36,7 @@ from balchain.steady import (
     solve_exact,
     _unit_float,
 )
+import oracles
 from oracles import _solve_gauss
 
 R = Fraction
@@ -724,6 +725,41 @@ def test_state_reduction_equals_gaussian_elimination(m):
     assert got == expected
     if not isinstance(got, str):
         assert all(type(p) is R for p in got)
+
+
+def ring(n):
+    """The cycle 0 -> 1 -> ... -> n - 1 -> 0, built from cells."""
+    return StochasticMatrix.from_cells(n, {(i, (i + 1) % n): 1 for i in range(n)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_matrices())
+@example(StochasticMatrix.from_rows([[1]]))  # n = 1
+@example(ring(2))  # period 2
+# the cycle 0 -> 2 -> 1 -> 3 -> 0, period 4
+@example(StochasticMatrix.from_cells(4, {(0, 2): 1, (2, 1): 1, (1, 3): 1, (3, 0): 1}))
+# state 0 is transient and {1, 2} the one closed class
+@example(StochasticMatrix.from_rows([[R(1, 2), R(1, 2), 0], [0, R(1, 3), R(2, 3)], [0, 1, 0]]))
+# two closed classes, {1} and {2}
+@example(StochasticMatrix.from_rows([[0, R(1, 2), R(1, 2)], [0, 1, 0], [0, 0, 1]]))
+# state 0 cannot reach state 1, which returns to it
+@example(StochasticMatrix.from_rows([[1, 0], [R(1, 2), R(1, 2)]]))
+# cycles of length 2 and 3 through state 0: the gcd is 2 after row 1
+# and 1 only after row 2
+@example(StochasticMatrix.from_cells(3, {(0, 1): 1, (1, 0): R(1, 2), (1, 2): R(1, 2), (2, 0): 1}))
+def test_validate_equals_the_set_oracle(m):
+    assert validate(m) == oracles.validate(m)
+
+
+# validate is linear in nnz: each guard at n = 20000 takes ~0.2 s or less,
+# most of it building the matrix
+def test_validate_is_linear_on_a_long_ring():
+    assert validate(ring(20000)).period == 20000
+
+
+def test_validate_is_linear_on_a_long_chain_with_no_interior_collapse():
+    # a = 2 moves no mass to state 0 from rows 2..n-2, so both sweeps walk the band
+    assert validate(build(balancing_like_chain(20000, 2))).ok
 
 
 def test_upward_jumps_by_two_solve_by_state_reduction():
