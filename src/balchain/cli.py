@@ -158,9 +158,11 @@ _SCOPES: dict[str, tuple[str, dict[str, tuple[str, ...]]]] = {
 }
 # --max-n default and least value in the modes where it is optional
 _MAX_N = {"all": (25, 3), "beta_powers": (100, 1), "ratio": (10, 2)}
-# limit's enclosure of sqrt(2) squares an integer of 2 * --digits digits; at
-# this cap limit --sizes 8,16,32 takes ~0.7 s and --ratio --max-n 10 ~0.2 s
+# --digits' accepted range; limit certifies its bounds to
+# min(--digits, _FLOAT_DIGITS) significant digits: a printed float holds 17,
+# so past _FLOAT_DIGITS --digits changes neither the output nor the cost
 _MAX_DIGITS = 50000
+_FLOAT_DIGITS = 40
 # solve's method flags, filled in after the scope check has seen what was given
 _SOLVE_DEFAULTS = {"tol": 1e-12, "max_iter": 10**6, "steps": 10**6, "seed": 0, "start": 0}
 
@@ -335,10 +337,13 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
     mode, max_n = _scope(args, "limit")
+    if args.digits < 1:
+        raise ParameterError(f"--digits must be >= 1, got {args.digits}")
     if args.digits > _MAX_DIGITS:
         raise ParameterError(f"--digits must be <= {_MAX_DIGITS}, got {args.digits}")
+    digits = min(args.digits, _FLOAT_DIGITS)
     if mode == "ratio":
-        table = [(n, float_upper(silver_ratio_gap(n, args.digits))) for n in range(2, max_n + 1)]
+        table = [(n, float_upper(silver_ratio_gap(n, digits))) for n in range(2, max_n + 1)]
     else:
         try:
             sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -346,7 +351,7 @@ def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
             raise UsageError(f"bad --sizes list: {exc}") from None
         if not sizes or min(sizes) < 3:
             raise UsageError("--sizes must list integers >= 3")
-        table = truncation_convergence(sizes, digits=args.digits)
+        table = truncation_convergence(sizes, digits=digits)
     if args.format == "json":
         return json.dumps([{"n": n, "gap": gap} for n, gap in table]), EXIT_OK
     return "\n".join(f"{n},{gap!r}" for n, gap in table), EXIT_OK

@@ -4,8 +4,11 @@ The unit BETA = 3 - 2*sqrt(2) is the limit of B[n-1]/B[n] for balancing
 numbers and the inverse square of the silver ratio 1 + sqrt(2).  Stationary
 probabilities of the infinite-state chain live in this ring, so every
 identity about them can be checked with integer arithmetic only.  Where a
-decimal magnitude is needed, values are enclosed between two fractions
-built from integer square roots, never from floats.
+decimal magnitude is needed, it is bounded through integer square roots,
+never through floats.  A tiny x = r + s*sqrt(2) is bounded as its exact
+norm r**2 - 2*s**2 over its conjugate r - s*sqrt(2), which has no
+cancellation, so a short enclosure of sqrt(2) bounds |x| to a fixed number
+of significant digits however small x is.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "silver_ratio_gap",
     "sqrt2_bounds",
     "enclosure",
+    "abs_bound",
     "gap_bound",
     "float_upper",
 ]
@@ -129,14 +133,15 @@ def sqrt2_bounds(digits: int = 50) -> tuple[Fraction, Fraction]:
     """Fractions lo <= sqrt(2) < hi with hi - lo == 10**-digits; ``digits``
     is an int >= 1, checked here for every enclosure."""
     _require_int("digits", digits, 1)
-    return _sqrt2_bounds(digits)
+    root, scale = _sqrt2_floor(digits)
+    return Fraction(root, scale), Fraction(root + 1, scale)
 
 
 @lru_cache(maxsize=None)
-def _sqrt2_bounds(digits: int) -> tuple[Fraction, Fraction]:
+def _sqrt2_floor(digits: int) -> tuple[int, int]:
+    """(floor(sqrt(2) * 10**digits), 10**digits)."""
     scale = 10**digits
-    lo = isqrt(2 * scale * scale)
-    return Fraction(lo, scale), Fraction(lo + 1, scale)
+    return isqrt(2 * scale * scale), scale
 
 
 def _require_rational(value: object) -> None:
@@ -144,44 +149,86 @@ def _require_rational(value: object) -> None:
         raise ValueError(f"value must be an int or a Fraction, got {value!r}")
 
 
+def _require_quadint(x: object) -> None:
+    if not isinstance(x, QuadInt):
+        raise ValueError(f"ring element must be a QuadInt, got {x!r}")
+
+
 def enclosure(x: QuadInt, digits: int = 50) -> tuple[Fraction, Fraction]:
     """Rational interval [lo, hi] certified to contain the value of x, a
     QuadInt, or ValueError."""
-    if not isinstance(x, QuadInt):
-        raise ValueError(f"ring element must be a QuadInt, got {x!r}")
+    _require_quadint(x)
     lo2, hi2 = sqrt2_bounds(digits)
     if x.b >= 0:
         return x.a + x.b * lo2, x.a + x.b * hi2
     return x.a + x.b * hi2, x.a + x.b * lo2
 
 
+def _abs_bound(p: int, q: int, s: int, digits: int) -> Fraction:
+    """Upper bound on |p/q + s*sqrt(2)| for ints p, s and q > 0, above the
+    true value by a factor less than 1 + 10**-digits."""
+    root, scale = _sqrt2_floor(digits)
+    if p < 0 < s or s < 0 < p:
+        # x may cancel, its conjugate (|p| + |s|*q*sqrt(2))/q does not:
+        # |x| = |p**2 - 2*s**2*q**2| / (q * (|p| + |s|*q*sqrt(2)))
+        norm = abs(p * p - 2 * s * s * q * q)
+        return Fraction(norm * scale, q * (abs(p) * scale + abs(s) * q * root))
+    # no cancellation in x itself: |x| = (|p| + |s|*q*sqrt(2))/q; x == 0
+    # only for p == s == 0, where this is exactly 0
+    return Fraction(abs(p) * scale + abs(s) * q * (root + 1), q * scale)
+
+
+def abs_bound(r: int | Fraction, s: int, digits: int = 50) -> Fraction:
+    """Certified upper bound on |r + s*sqrt(2)| to ``digits`` significant
+    digits: above the true value by a factor less than 1 + 10**-digits,
+    however small that value is, and exactly 0 at r == s == 0.
+
+    When r and s differ in sign the bound is the exact norm
+    |r**2 - 2*s**2| over a lower bound on the conjugate |r - s*sqrt(2)|,
+    which is at least |r| and never cancels; otherwise r + s*sqrt(2) does
+    not cancel and is enclosed directly.  ``r`` is an int, not a bool, or a
+    Fraction, ``s`` an int, ``digits`` an int >= 1, or ValueError.
+    """
+    _require_rational(r)
+    _require_int("sqrt(2) coefficient", s)
+    _require_int("digits", digits, 1)
+    return _abs_bound(r.numerator, r.denominator, s, digits)
+
+
 def gap_bound(value: Fraction, x: QuadInt, digits: int = 50) -> Fraction:
-    """Certified upper bound on |value - x| for a rational value: an int,
-    not a bool, or a Fraction, or ValueError (a float is not exact)."""
+    """Certified upper bound on |value - x| for a rational value, to
+    ``digits`` significant digits (``abs_bound`` of value - x): an int, not
+    a bool, or a Fraction, or ValueError (a float is not exact)."""
     _require_rational(value)
-    lo, hi = enclosure(x, digits)
-    return max(abs(value - lo), abs(value - hi))
+    _require_quadint(x)
+    _require_int("digits", digits, 1)
+    q = value.denominator
+    return _abs_bound(value.numerator - x.a * q, q, -x.b, digits)
 
 
 def float_upper(value: Fraction) -> float:
     """Smallest float that is >= value (directed rounding for reports);
     value is an int, not a bool, or a Fraction, or ValueError."""
     _require_rational(value)
-    approx = float(value)
-    if Fraction(approx) >= value:
+    p, q = value.numerator, value.denominator
+    approx = p / q  # float(value), rounded to nearest
+    n, d = approx.as_integer_ratio()
+    if n * q >= p * d:
         return approx
     return nextafter(approx, inf)
 
 
 def silver_ratio_gap(n: int, digits: int = 50) -> Fraction:
-    """Certified upper bound on |B[n-1]/B[n] - BETA|, decreasing in n.
+    """Certified upper bound on |B[n-1]/B[n] - BETA| to ``digits``
+    significant digits, strictly decreasing in n.
 
-    The ratio approaches BETA from below, so 3 - 2*lo - ratio with
-    lo <= sqrt(2) is an upper bound on the true gap; since lo is fixed for
-    a given precision, the bound inherits the ratio's strict monotonicity.
+    The gap is (B[n-1] - 3*B[n])/B[n] + 2*sqrt(2), and the balancing
+    identity B[n]**2 - 6*B[n]*B[n-1] + B[n-1]**2 == 1 makes its norm
+    1/B[n]**2, so ``abs_bound``'s bound is the closed form
+    1 / (B[n] * ((3 + 2*lo)*B[n] - B[n-1])) with lo <= sqrt(2): no
+    cancellation, and a denominator that grows with n.
     """
     _require_int("index", n, 2)
-    lo, _ = sqrt2_bounds(digits)
+    _require_int("digits", digits, 1)
     b_prev, b_n = _balancing_pair(n - 1)
-    ratio = Fraction(b_prev, b_n)
-    return 3 - 2 * lo - ratio
+    return _abs_bound(b_prev - 3 * b_n, b_n, 2, digits)

@@ -187,19 +187,19 @@ def truncation_gap_bound(n: int, digits: int = 50) -> Fraction:
     """Certified bound on the largest gap over the first min(n, 8) entries
     of the size-n chain's stationary vector and of the limit.
 
-    Each exact probability is compared with BETA**i - BETA**(i+1) enclosed
-    at ``digits`` decimal digits.  Later entries are not compared, though
-    the whole vector's largest gap is at the last one (about 0.83*BETA**n),
-    and once the head gaps fall below the enclosure's width (near n = 40 at
-    50 digits) the bound is that width.
+    Each exact probability's gap to BETA**i - BETA**(i+1) is bounded by
+    ``gap_bound`` to ``digits`` significant digits, however small the gap.
+    Later entries are not compared, though the whole vector's largest gap
+    is at the last one (about 0.83*BETA**n).
     """
     return max(_head_bounds(n, digits)[1])
 
 
 def truncation_convergence(sizes: list[int], digits: int = 50) -> list[tuple[int, float]]:
     """(n, truncation_gap_bound(n, digits)) rounded up to a float, for each
-    requested size: a bound over the first min(n, 8) entries.  ``sizes``
-    is a list or tuple, or ParameterError is raised."""
+    requested size: a bound over the first min(n, 8) entries.  A bound
+    below the float range rounds up to a subnormal or 5e-324, never to
+    0.0.  ``sizes`` is a list or tuple, or ParameterError is raised."""
     _require_list("sizes", sizes)
     if not sizes:
         raise ValueError("need at least one size")
@@ -284,22 +284,26 @@ def q_invariance_row(report: QInvarianceReport) -> dict:
 def beta_power_row(max_n: int) -> dict:
     """Summary row of ``beta_power_identity`` for every n in 1..max_n.
 
-    One walk over n: BETA**(n+1) is carried by one ring multiply per step
-    and (B[n], B[n+1]) by the balancing recurrence, so the row costs O(max_n)
-    small-by-big products where a ``beta_power_identity`` call per n would
-    redo the power and two terms each time.  It stops at the first n that
-    fails.
+    One walk over n: BETA**(n+1) = a + b*sqrt(2) is carried as the int
+    pair (a, b), which one multiply by BETA = 3 - 2*sqrt(2) maps to
+    (3a - 4b, 3b - 2a), and (B[n], B[n+1]) by the balancing recurrence.
+    Each step compares the pair with BETA*B[n+1] - B[n] =
+    (3*B[n+1] - B[n], -2*B[n+1]), the same exact check in Z[sqrt(2)] with
+    no QuadInt built, so the row costs O(max_n) small-by-big products
+    where a ``beta_power_identity`` call per n would redo the power and two
+    terms each time.  It stops at the first n that fails.
     """
     if not _is_int(max_n) or max_n < 1:
         raise ParameterError(f"beta_power_row needs an integer max_n >= 1, got {max_n!r}")
     r = BALANCING.recurrence
     terms = pairwise(_recurrence(r, max_n + 2, r.x0, r.x1))
     next(terms)  # (B[0], B[1])
-    power = BETA
+    c, d = BETA.a, BETA.b  # 3, -2
+    a, b = c, d
     ok = True
     for b_cur, b_next in terms:
-        power *= BETA
-        if power != BETA * b_next - b_cur:
+        a, b = c * a + 2 * d * b, d * a + c * b
+        if a != c * b_next - b_cur or b != d * b_next:
             ok = False
             break
     return _row(

@@ -2,7 +2,7 @@
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from balchain.chains import StochasticMatrix, ValidationReport, _require_matrix
 from balchain.steady import _SINGULAR, SolverError
@@ -95,3 +95,26 @@ def validate(m: StochasticMatrix) -> ValidationReport:
         period=period,
         aperiodic=aperiodic,
     )
+
+
+def abs_enclosure(r: Fraction, s: int, digits: int = 400) -> tuple[Fraction, Fraction]:
+    """[lo, hi] holding |r + s*sqrt(2)|, from sqrt(2) enclosed directly at
+    ``digits`` decimal digits: hi - lo <= |s| * 10**-digits, and lo == 0
+    when the enclosure of r + s*sqrt(2) holds 0."""
+    scale = 10**digits
+    root = isqrt(2 * scale * scale)
+    ends = (r + s * Fraction(root, scale), r + s * Fraction(root + 1, scale))
+    lo, hi = min(ends), max(ends)
+    if lo <= 0 <= hi:
+        return Fraction(0), max(-lo, hi)
+    return min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
+
+
+def assert_tight(bound: Fraction, r: Fraction, s: int, digits: int) -> None:
+    """``bound`` is a certified upper bound on |r + s*sqrt(2)| to ``digits``
+    significant digits: at least the 400-digit enclosure's lower end, and
+    at most its upper end times 1 + 10**-(digits - 3)."""
+    lo, hi = abs_enclosure(r, s)
+    assert lo > 0 or hi == 0, "the 400-digit enclosure does not resolve |x|"
+    assert lo <= bound, (r, s, digits)
+    assert bound <= hi * (1 + Fraction(10) ** (3 - digits)), (r, s, digits)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import cache
 from unittest.mock import patch
 
@@ -13,9 +14,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from balchain import cli
-from balchain.chains import balancing_chain, build, matrix_to_json
+from balchain.chains import balancing_chain, build, matrix_to_json, truncated_infinite_chain
 from balchain.cli import _MAX_DIGITS, _build_parser, main
-from balchain.sequences import NAMED_KINDS, RecurrenceSpec, SequenceKind, sequence
+from balchain.quadratic import infinite_steady_state
+from balchain.sequences import BALANCING, NAMED_KINDS, RecurrenceSpec, SequenceKind, sequence
+from balchain.steady import solve_exact
+from oracles import abs_enclosure
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -497,6 +501,72 @@ def test_limit_digits_past_the_cap_exits_2_before_any_work(capsys, monkeypatch, 
     assert (code, out) == (2, "")
     message = f"--digits must be <= {_MAX_DIGITS}, got {_MAX_DIGITS + 1}"
     assert json.loads(err) == {"error": {"code": 2, "message": message}}
+
+
+@pytest.mark.parametrize("digits", ["0", "-1"])
+@pytest.mark.parametrize("mode", [("--sizes", "800,1600"), ("--ratio",)])
+def test_limit_digits_below_1_exits_2_before_any_work(capsys, monkeypatch, mode, digits):
+    # before, --digits 0 was refused inside sqrt2_bounds, after --sizes had
+    # solved its first chain, with a message that did not name the flag
+    def never(*args, **kwargs):
+        raise AssertionError("a table was computed below --digits 1")
+
+    monkeypatch.setattr(cli, "truncation_convergence", never)
+    monkeypatch.setattr(cli, "silver_ratio_gap", never)
+    code, out, err = run_cli(capsys, "limit", *mode, "--digits", digits)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": 2, "message": f"--digits must be >= 1, got {digits}"}}
+
+
+def _limit_rows(capsys, *argv: str) -> list[tuple[int, Fraction]]:
+    code, out, _ = run_cli(capsys, "limit", *argv)
+    assert code == 0
+    return [(int(n), Fraction(float(gap))) for n, gap in (line.split(",") for line in out.splitlines())]
+
+
+# a printed row is the bound, above the gap by a factor below 1 + 10**-40,
+# rounded up to a float, which adds a factor below 1 + 2**-52 down to the
+# smallest normal float
+_FLOAT_SLACK = 1 + Fraction(1, 2**51)
+
+
+def _head_gaps(n: int) -> tuple[Fraction, Fraction]:
+    """[lo, hi] holding the largest gap between the size-n chain's first
+    min(n, 8) entries and the limit's, from 400-digit enclosures."""
+    solved = solve_exact(build(truncated_infinite_chain(n)))
+    ends = [abs_enclosure(p - x.a, -x.b) for p, x in zip(solved, infinite_steady_state(8))]
+    return max(lo for lo, _ in ends), max(hi for _, hi in ends)
+
+
+def test_limit_size_rows_are_certified_and_tight_up_to_200(capsys):
+    rows = _limit_rows(capsys, "--sizes", ",".join(map(str, range(3, 201))))
+    assert [n for n, _ in rows] == list(range(3, 201))
+    for n, gap in rows:
+        lo, hi = _head_gaps(n)
+        assert 0 < lo <= gap <= hi * _FLOAT_SLACK, n
+
+
+def test_limit_ratio_rows_are_certified_and_tight_up_to_120(capsys):
+    rows = _limit_rows(capsys, "--ratio", "--max-n", "120")
+    b = sequence(BALANCING, 121)
+    assert [n for n, _ in rows] == list(range(2, 121))
+    for n, gap in rows:
+        lo, hi = abs_enclosure(Fraction(b[n - 1], b[n]) - 3, 2)
+        assert 0 < lo <= gap <= hi * _FLOAT_SLACK, n
+
+
+def test_limit_rows_below_the_float_range_print_a_certified_float(capsys):
+    # the gaps pass the smallest normal float near n = 205: those rows print
+    # the smallest float >= the bound, a subnormal or 5e-324, never 0.0
+    [(_, gap)] = _limit_rows(capsys, "--sizes", "210")
+    lo, _ = _head_gaps(210)
+    assert 0 < lo <= gap < Fraction(2.2250738585072014e-308)
+    rows = _limit_rows(capsys, "--ratio", "--max-n", "215")
+    b = sequence(BALANCING, 216)
+    for n, gap in rows[-15:]:
+        lo, _ = abs_enclosure(Fraction(b[n - 1], b[n]) - 3, 2)
+        assert 0 < lo <= gap, n
+    assert rows[-1][1] == Fraction(5e-324)
 
 
 def test_limit_digits_at_the_cap_runs(capsys):

@@ -4,9 +4,9 @@ Each command draws any subset of its mode selectors (a family, --all,
 --beta-powers, --matrix-file, --sizes, --ratio), so conflicting scopes
 are drawn too.  Sizes and iteration counts stay small (n <= 5, --steps
 and --max-iter <= 1000, --count and --max-n <= 30) so the whole run takes
-a few seconds; --digits is small, or limit's cap or one past it.  A
-nonzero exit must leave exactly one JSON error object on stderr whose
-code is the exit code, and exits 2 and 4 print nothing on stdout.
+a few seconds; --digits is small, 0 or -1, or limit's cap or one past
+it.  A nonzero exit must leave exactly one JSON error object on stderr
+whose code is the exit code, and exits 2 and 4 print nothing on stdout.
 """
 
 import io
@@ -26,7 +26,7 @@ FORMATS = st.sampled_from([(), ("--format", "json"), ("--format", "csv")])
 Q_TEXT = st.sampled_from(["1/7", "1/6", "1/2", "0", "-1/3", "1/0", "abc", "1e-3", "2/13", "nan"])
 TOL_TEXT = st.sampled_from(["1e-12", "1e-3", "0", "-1", "nan", "inf", "x"])
 SIZE = st.integers(min_value=-1, max_value=5)
-DIGITS = st.one_of(st.integers(-2, 60), st.sampled_from([_MAX_DIGITS, _MAX_DIGITS + 1]))
+DIGITS = st.one_of(st.integers(-2, 60), st.sampled_from([0, -1, _MAX_DIGITS, _MAX_DIGITS + 1]))
 KIND = st.sampled_from([*KINDS, "bogus"])
 
 # matrix-file cells: exact forms, and the forms the reader must reject

@@ -14,6 +14,7 @@ from balchain import (
     ParameterError,
     SequenceKind,
     StochasticMatrix,
+    abs_bound,
     balancing_chain,
     beta_power_row,
     build,
@@ -84,6 +85,8 @@ INT_ARGUMENTS = {
     "power_iteration.max_iter": lambda v: power_iteration(M, max_iter=v),
     "power_iteration.tol": lambda v: power_iteration(M, tol=v),
     "sqrt2_bounds": sqrt2_bounds,
+    "abs_bound.s": lambda v: abs_bound(1, v),
+    "abs_bound.digits": lambda v: abs_bound(1, -1, v),
     "silver_ratio_gap.n": silver_ratio_gap,
     "silver_ratio_gap.digits": lambda v: silver_ratio_gap(5, v),
     "beta_power_row": beta_power_row,

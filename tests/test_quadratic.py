@@ -1,14 +1,17 @@
 import re
 from fractions import Fraction
+from math import inf, nextafter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balchain.chains import build, truncated_infinite_chain
 from balchain.quadratic import (
     BETA,
     ONE,
     QuadInt,
+    abs_bound,
     beta_power_identity,
     enclosure,
     float_upper,
@@ -17,7 +20,9 @@ from balchain.quadratic import (
     silver_ratio_gap,
     sqrt2_bounds,
 )
-from balchain.sequences import BALANCING, LUCAS_BALANCING, term
+from balchain.sequences import BALANCING, LUCAS_BALANCING, sequence, term
+from balchain.steady import solve_exact
+from oracles import abs_enclosure, assert_tight
 
 quadints = st.builds(
     QuadInt,
@@ -153,10 +158,11 @@ def test_sqrt2_bounds():
     [
         sqrt2_bounds,
         lambda digits: enclosure(BETA, digits),
+        lambda digits: abs_bound(Fraction(1, 6), -1, digits),
         lambda digits: gap_bound(Fraction(1, 6), BETA, digits),
         lambda digits: silver_ratio_gap(5, digits),
     ],
-    ids=["sqrt2_bounds", "enclosure", "gap_bound", "silver_ratio_gap"],
+    ids=["sqrt2_bounds", "enclosure", "abs_bound", "gap_bound", "silver_ratio_gap"],
 )
 @pytest.mark.parametrize(
     "digits, message",
@@ -185,11 +191,12 @@ def test_enclosure_brackets_the_value():
 
 
 def test_gap_bound_is_an_upper_bound():
+    # the probes lo and hi lie within 10**-50 of BETA: tiny gaps, which even
+    # a 5-digit bound must give to 5 significant digits
     lo, hi = enclosure(BETA)
     for probe in (lo, hi, Fraction(17, 100), Fraction(0)):
-        bound = gap_bound(probe, BETA)
-        assert bound >= abs(probe - lo)
-        assert bound >= abs(probe - hi)
+        for digits in (5, 50):
+            assert_tight(gap_bound(probe, BETA, digits), probe - BETA.a, -BETA.b, digits)
 
 
 def test_float_upper_rounds_toward_infinity():
@@ -200,10 +207,17 @@ def test_float_upper_rounds_toward_infinity():
     assert float_upper(3) == 3.0
 
 
+@given(st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**340)))
+def test_float_upper_is_the_smallest_float_at_or_above(value):
+    # subnormals and values below 5e-324 included
+    up = float_upper(value)
+    assert Fraction(up) >= value > Fraction(nextafter(up, -inf))
+
+
 @pytest.mark.parametrize(
     "call",
-    [lambda v: gap_bound(v, BETA), float_upper],
-    ids=["gap_bound", "float_upper"],
+    [lambda v: abs_bound(v, 1), lambda v: gap_bound(v, BETA), float_upper],
+    ids=["abs_bound", "gap_bound", "float_upper"],
 )
 @pytest.mark.parametrize("value", [0.5, 1.5, True, None, "1/2", 1j], ids=repr)
 def test_rational_values_must_be_an_int_or_a_fraction(call, value):
@@ -214,7 +228,76 @@ def test_rational_values_must_be_an_int_or_a_fraction(call, value):
 
 
 def test_gap_bound_takes_an_int_value():
-    assert gap_bound(0, BETA, 5) == max(abs(x) for x in enclosure(BETA, 5))
+    for value in (0, 1, -3, 6):
+        bound = gap_bound(value, BETA, 5)
+        assert bound == gap_bound(Fraction(value), BETA, 5)
+        assert_tight(bound, Fraction(value - BETA.a), -BETA.b, 5)
+
+
+# ring elements r + s*sqrt(2): plain ones, with r rational
+plain_elements = st.tuples(
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**12),
+    st.integers(-(10**12), 10**12),
+)
+
+
+@st.composite
+def tiny_elements(draw):
+    """r + s*sqrt(2) for x = +-y*BETA**k with y a small nonzero ring
+    element, so r cancels s*sqrt(2) to up to ~150 digits; or x less a
+    rational within about 10**-m of it, a gap of up to ~200 digits."""
+    small = st.integers(-50, 50)
+    y = draw(st.builds(QuadInt, small, small).filter(lambda y: y.a or y.b))
+    sign = draw(st.sampled_from([1, -1]))
+    m = draw(st.none() | st.integers(1, 200))
+    if m is None:
+        x = sign * y * BETA ** draw(st.integers(0, 200))
+        return Fraction(x.a), x.b
+    x = sign * y * BETA ** draw(st.integers(0, 100))
+    sqrt2, _ = abs_enclosure(Fraction(0), 1, 300)
+    value = Fraction(round((x.a + x.b * sqrt2) * 10**m), 10**m)
+    return x.a - value, x.b
+
+
+@given(plain_elements | tiny_elements(), st.integers(1, 60))
+def test_abs_bound_is_certified_and_tight(element, digits):
+    r, s = element
+    assert_tight(abs_bound(r, s, digits), r, s, digits)
+    assert abs_bound(-r, -s, digits) == abs_bound(r, s, digits)
+
+
+@given(tiny_elements(), st.integers(1, 60))
+def test_gap_bound_is_certified_and_tight(element, digits):
+    r, s = element
+    # |value - x| is |r + s*sqrt(2)| for x = -a - s*sqrt(2) and value = r - a
+    a = r.numerator // r.denominator
+    bound = gap_bound(r - a, QuadInt(-a, -s), digits)
+    assert bound == abs_bound(r, s, digits)
+    assert_tight(bound, r, s, digits)
+
+
+def test_abs_bound_is_exact_at_zero_and_on_rationals():
+    assert abs_bound(0, 0) == abs_bound(Fraction(0), 0, 1) == 0
+    assert abs_bound(Fraction(-7, 3), 0, 1) == Fraction(7, 3)
+
+
+def test_head_entries_of_truncated_chains_are_bounded_tightly():
+    limit = infinite_steady_state(8)
+    for n in (3, 8, 30, 90, 200):
+        for p, x in zip(solve_exact(build(truncated_infinite_chain(n))), limit):
+            for digits in (1, 17, 40):
+                assert_tight(gap_bound(p, x, digits), p - x.a, -x.b, digits)
+
+
+def test_silver_ratio_gap_is_the_closed_form_and_tight():
+    b = sequence(BALANCING, 122)
+    for n in range(2, 121):
+        ratio = Fraction(b[n - 1], b[n])
+        for digits in (1, 12, 40):
+            bound = silver_ratio_gap(n, digits)
+            lo, _ = sqrt2_bounds(digits)
+            assert bound == 1 / (b[n] * ((3 + 2 * lo) * b[n] - b[n - 1]))
+            assert_tight(bound, ratio - 3, 2, digits)
 
 
 @pytest.mark.parametrize(
