@@ -137,7 +137,10 @@ def sqrt2_bounds(digits: int = 50) -> tuple[Fraction, Fraction]:
     return Fraction(root, scale), Fraction(root + 1, scale)
 
 
-@lru_cache(maxsize=None)
+_SQRT2_CACHE = 8  # a sweep over digits keeps only the last few roots
+
+
+@lru_cache(maxsize=_SQRT2_CACHE)
 def _sqrt2_floor(digits: int) -> tuple[int, int]:
     """(floor(sqrt(2) * 10**digits), 10**digits)."""
     scale = 10**digits

@@ -11,7 +11,7 @@
 * simulate       -- seeded Monte Carlo trajectory counting on the
                     stream of random.Random(seed): the draws come in
                     chunks from getrandbits, and their top bytes map to
-                    classes cut by the visited rows' float running sums;
+                    classes cut by the visited rows' float thresholds;
                     while there are at most 16 classes, k of them pack
                     into one key byte and one table read moves the walk
                     k steps, and past 16 each top byte is a key.  A draw
@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import ceil, floor, gcd, inf, prod
 from numbers import Real
 
@@ -399,10 +399,10 @@ def simulate(
 
     Step k draws u = ``random.Random(seed).random()``'s k-th value and moves
     from state i to ``targets[i][bisect_right(cumulative[i], u)]``, where
-    row i's ``cumulative`` holds the float running sums of its cells, the
-    last one set to 1.0 so that float drift cannot reach past the last
-    nonzero target.  The seed must be >= 0: ``random.Random`` seeds with
-    ``abs(seed)``, so a negative seed would run another seed's stream.
+    row i's ``cumulative`` holds its exact cumulative probabilities, each
+    rounded to the nearest float, the last 1.0.  The seed must be >= 0:
+    ``random.Random`` seeds with ``abs(seed)``, so a negative seed would
+    run another seed's stream.
 
     The walk takes the same stream in chunks of ``_DRAWS`` draws and
     decides most steps without building u.  ``random()`` makes u from two
@@ -413,21 +413,24 @@ def simulate(
     the next 8 bits of u.  A state's row (``_float_row``) is built when the
     walk first leaves it, so a run holds rows for the visited states only.
 
-    T is the sorted set of the built rows' running sums below 1.0, and a
+    T is the sorted set of the built rows' thresholds below 1.0, and a
     draw's class ``bisect_right(T, u)`` fixes its next state from every
-    built row.  While there are K = len(T) + 1 <= 16 classes, a chunk is
-    read as keys: one ``bytes.translate`` maps the top bytes to classes
+    built row; equal exact sums are one float.  While there are K =
+    len(T) + 1 <= 16 classes (at n = 12 over all rows, 3 on balancing, 5 on
+    lucas, 7 on lucas-cobalancing, 3 to 6 on the rest), a chunk is read as
+    keys: one ``bytes.translate`` maps the top bytes to classes
     (``_byte_row`` over T), a draw whose bucket holds a sum of T takes its
     class from its next byte in the same way, or else is rebuilt
     (``_unit_float``) and bisected into T, and k = ``_KEY_DIGITS[K]``
-    consecutive classes (8 at K = 2, 2 at K = 7..16) are packed base K
-    into one key byte.  A state's table has K**k nodes, each built on
-    first use by stepping its key's k classes; a node holds the end
-    state's table, a count and the k states on the way, and the counts go
-    into the visits at the end.  A chunk's last len % k draws are stepped
-    one at a time.  A row built mid-walk with a sum not in T refines the
-    classes: the counts are added up, the tables dropped, and the chunk
-    keyed again from the first draw of the key that needed the row.
+    consecutive classes (8 at K = 2, 5 at 3, 4 at 4, 3 at 5..6, 2 at
+    7..16) are packed base K into one key byte.  A state's table has K**k
+    nodes, each built on first use by stepping its key's k classes; a node
+    holds the end state's table, a count and the k states on the way, and
+    the counts go into the visits at the end.  A chunk's last len % k
+    draws are stepped one at a time.  A row built mid-walk with a sum not
+    in T refines the classes: the counts are added up, the tables dropped,
+    and the chunk keyed again from the first draw of the key that needed
+    the row.
 
     Past 16 classes the walk keys each draw by its top byte alone (k = 1),
     with one node per state.  Entry b of a state's table is the next
@@ -449,7 +452,7 @@ def simulate(
     if not 0 <= start < n:
         raise ValueError(f"start state {start} outside 0..{n - 1}")
     rows: dict[int, tuple[list[int], list[float]]] = {}  # _float_row of each state left
-    sums: set[float] = set()  # their running sums below 1.0
+    sums: set[float] = set()  # their thresholds below 1.0
     moves: dict[int, list[int]] = {}  # a state's next state by class, or by top byte
     fine_moves: dict[int, list[int]] = {}  # by top byte: state s's bucket b at 256*s + b
     tables: dict[int, list] = {}  # a state's nodes by key, then the state
@@ -610,15 +613,10 @@ def simulate(
 
 
 def _float_row(cells: dict[int, int], den: int) -> tuple[list[int], list[float]]:
-    """A row's nonzero targets and the float running sums of its cells."""
-    acc = 0.0
-    cumulative = []
-    for v in cells.values():
-        acc += v / den
-        cumulative.append(acc)
-    # float drift at the top end goes to the last possible target
-    cumulative[-1] = 1.0
-    return list(cells), cumulative
+    """A row's nonzero targets and its thresholds: each exact int partial
+    sum of its cells over ``den``, correctly rounded by one division, so
+    they never decrease, equal sums are equal floats and the last is 1.0."""
+    return list(cells), [acc / den for acc in accumulate(cells.values())]
 
 
 def _byte_row(
@@ -631,9 +629,7 @@ def _byte_row(
 
     Target k takes the u in [cum[k-1], cum[k]), so the whole buckets in
     that span, the b with ceil(256 * cum[k-1]) <= b < floor(256 * cum[k]);
-    the products are exact, as 256 is a power of 2.  Only ``cum[-1]``, which
-    is 1.0, may be below the threshold before it, and no u reaches a span
-    that starts above 1.
+    the products are exact, as 256 is a power of 2.
     """
     scale, base = 256, 0
     if bucket is not None:

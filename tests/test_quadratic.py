@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balchain import quadratic
 from balchain.chains import build, truncated_infinite_chain
 from balchain.quadratic import (
     BETA,
@@ -279,6 +280,12 @@ def test_gap_bound_is_certified_and_tight(element, digits):
 def test_abs_bound_is_exact_at_zero_and_on_rationals():
     assert abs_bound(0, 0) == abs_bound(Fraction(0), 0, 1) == 0
     assert abs_bound(Fraction(-7, 3), 0, 1) == Fraction(7, 3)
+
+
+def test_the_sqrt2_cache_stays_bounded_over_a_digits_sweep():
+    for digits in range(1, 201):
+        abs_bound(Fraction(1, 6), -1, digits)
+    assert quadratic._sqrt2_floor.cache_info().currsize <= quadratic._SQRT2_CACHE
 
 
 def test_head_entries_of_truncated_chains_are_bounded_tightly():

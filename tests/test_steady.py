@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from types import SimpleNamespace
 
@@ -233,11 +234,11 @@ def assert_same_as_loop(m, **kwargs):
     return outcome
 
 
-def every_kind_at_every_q():
-    """All ten kinds at n = 3, 12, 50; q-kinds at q = 1/coeff, 1/100, 1/1000."""
+def every_kind_at_every_q(sizes=(3, 12, 50)):
+    """All ten kinds at each size n; q-kinds at q = 1/coeff, 1/100, 1/1000."""
     for kind, spec in KINDS.items():
         a = 5 if spec.takes_a else None
-        for n in (3, 12, 50):
+        for n in sizes:
             if n < spec.min_n:
                 continue
             for q in (R(1, a or 6), R(1, 100), R(1, 1000)) if spec.takes_q else (None,):
@@ -957,9 +958,10 @@ def last_target_walk(m, steps, start):
     ids=lambda f: f.label,
 )
 def test_simulate_float_drift_stays_on_possible_targets(monkeypatch, family):
-    # rows 2-4 sum to just below 1.0 in floats; a draw above that sum must
-    # land on the row's last nonzero target, never on a zero-probability one.
-    # No sum lies inside the draw's top-byte bucket (255/256, 1), so the
+    # rows 2-4's cells added as floats fall just below 1.0, but their last
+    # threshold is exactly 1.0: the top draw must land on the row's last
+    # nonzero target, never on a zero-probability one.  No threshold below
+    # 1.0 lies inside the draw's top-byte bucket (255/256, 1), so the
     # class table decides every step, on keys and on the leftover draws,
     # without rebuilding a draw
     monkeypatch.setattr(steady, "random", SimpleNamespace(Random=_TopDraw))
@@ -979,8 +981,8 @@ def drift_walk(monkeypatch, cells):
     rebuilt = []
     monkeypatch.setattr(steady, "_unit_float", lambda word: rebuilt.append(word) or _unit_float(word))
     m = StochasticMatrix.from_rows([cells] * 3)
-    # the cells sum to just below 1.0 in floats; the draw must land on the
-    # last target
+    # the cells added as floats fall just below 1.0, but the last threshold
+    # is exactly 1.0; the draw must land on the last target
     for start in range(3):
         assert simulate(m, steps=1, seed=0, start=start).visits == (0, 0, 1)
     assert simulate(m, steps=4097, seed=0).visits == (0, 0, 4097)
@@ -988,7 +990,7 @@ def drift_walk(monkeypatch, cells):
 
 
 def test_simulate_float_drift_at_a_threshold_takes_the_exact_fallback(monkeypatch):
-    # the sum 0.9999857 lies inside the draw's top-byte bucket and inside its
+    # the threshold 0.9999857 lies inside the draw's top-byte bucket and its
     # 16-bit bucket (65535/65536, 1), so every draw is rebuilt from its bytes
     # and bisected
     rebuilt = drift_walk(monkeypatch, [R(17501, 35003), R(1, 2), R(1, 70006)])
@@ -996,7 +998,7 @@ def test_simulate_float_drift_at_a_threshold_takes_the_exact_fallback(monkeypatc
 
 
 def test_simulate_float_drift_inside_a_top_byte_bucket_takes_the_next_byte(monkeypatch):
-    # the sum 0.99667 lies inside the top-byte bucket but below the 16-bit
+    # the threshold 0.99667 lies inside the top-byte bucket but below the 16-bit
     # bucket, so the draw's next byte decides, with no draw rebuilt
     assert drift_walk(monkeypatch, [R(149, 300), R(1, 2), R(1, 300)]) == []
 
@@ -1010,19 +1012,17 @@ def test_simulate_a_draw_equal_to_a_sum_takes_the_next_target(monkeypatch):
         assert simulate(m, steps, seed=0).visits == (0, steps)
 
 
+def exact_thresholds(cells, den):
+    """float(Fraction(s, den)) for each partial sum s of the row's cells."""
+    return [float(R(s, den)) for s in accumulate(cells.values())]
+
+
 def reference_simulate(m, steps, seed, start=0):
-    """The plain walk, kept as the oracle: every float row built up front,
-    then one ``random()`` and one ``bisect_right`` on the row's float
-    running sums per step."""
-    targets, cumulative = [], []
-    for cells in m.numerators:
-        acc, cum = 0.0, []
-        for v in cells.values():
-            acc += v / m.den
-            cum.append(acc)
-        cum[-1] = 1.0
-        targets.append(list(cells))
-        cumulative.append(cum)
+    """The plain walk, kept as the oracle: every row's thresholds built up
+    front as the exact cumulative probabilities rounded to float, then one
+    ``random()`` and one ``bisect_right`` on them per step."""
+    targets = [list(cells) for cells in m.numerators]
+    cumulative = [exact_thresholds(cells, m.den) for cells in m.numerators]
     draw = random.Random(seed).random
     visits = [0] * m.n
     state = start
@@ -1089,16 +1089,45 @@ SWITCHED = StochasticMatrix.from_rows(
 
 
 def class_count(m, states):
-    """K: one more than the distinct float running sums below 1.0 of the rows."""
+    """K: one more than the distinct float thresholds below 1.0 of the rows."""
     sums = {c for s in states for c in steady._float_row(m.numerators[s], m.den)[1] if c < 1.0}
     return len(sums) + 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([256, 7, 10**30]).flatmap(rows_over))
+def test_float_row_thresholds_are_the_rounded_exact_sums(m):
+    for cells in m.numerators:
+        targets, cumulative = steady._float_row(cells, m.den)
+        assert targets == list(cells)
+        assert cumulative == exact_thresholds(cells, m.den)
+        assert cumulative[-1] == 1.0
+        assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
+
+
+def test_the_classes_are_the_distinct_exact_sums_on_every_kind():
+    # equal exact sums reached along different rows are one float, one class
+    for family in every_kind_at_every_q(range(3, 41)):
+        m = build(family)
+        exact = {R(s, m.den) for cells in m.numerators for s in accumulate(cells.values())}
+        assert class_count(m, range(m.n)) == len(exact - {1}) + 1, family.label
+
+
+KEY_WIDTHS = [
+    build(f)
+    for f in (
+        balancing_chain(12),
+        balancing_chain_q(12, R(1, 7)),
+        lucas_chain(12),
+        lucas_cobalancing_chain(12),
+    )
+]
+
+
 def test_the_branch_cases_reach_each_key_width():
-    # the examples below step 8, 4, 3, 2 and 1 draws a key
+    # the examples below step 8, 5, 4, 3, 2 and 1 draws a key
     assert steady._KEY_DIGITS[class_count(ONE_SUM, [0])] == 8
-    widths = [build(f) for f in (balancing_chain(12), lucas_chain(12), lucas_cobalancing_chain(12))]
-    assert [steady._KEY_DIGITS[class_count(m, range(m.n))] for m in widths] == [4, 3, 2]
+    assert [steady._KEY_DIGITS[class_count(m, range(m.n))] for m in KEY_WIDTHS] == [5, 4, 3, 2]
     assert class_count(MANY_SUMS, [0]) > 16
     # one sum at the start, more after, and past 16 only from state 3 on
     assert class_count(REFINED, [0]) == 2 < class_count(REFINED, [0, 1]) < class_count(REFINED, [0, 1, 2])
@@ -1116,9 +1145,10 @@ def test_the_branch_cases_reach_each_key_width():
     st.integers(0, 2**64),
 )
 @example(ONE_SUM, 4097, 1)
-@example(build(balancing_chain(12)), 4097, 2)
-@example(build(lucas_chain(12)), 3 * 4096 + 5, 3)
-@example(build(lucas_cobalancing_chain(12)), 4097, 4)
+@example(KEY_WIDTHS[0], 4097, 2)
+@example(KEY_WIDTHS[1], 4097, 8)
+@example(KEY_WIDTHS[2], 3 * 4096 + 5, 3)
+@example(KEY_WIDTHS[3], 4097, 4)
 @example(MANY_SUMS, 4097, 5)
 @example(REFINED, 3 * 4096 + 5, 6)
 @example(SWITCHED, 3 * 4096 + 5, 7)
