@@ -14,10 +14,11 @@
                     classes cut by the visited rows' float thresholds;
                     while there are at most 16 classes, k of them pack
                     into one key byte and one table read moves the walk
-                    k steps, and past 16 each top byte is a key.  A draw
-                    whose byte bucket holds a sum is settled on its next
-                    byte or rebuilt exactly, so the stream and every step
-                    are those of the walk that calls random() once a step
+                    k steps, and a draw whose byte bucket holds a sum is
+                    settled on its next byte or rebuilt exactly.  Past 16
+                    classes each draw is bisected into its row.  The
+                    stream and every step are those of the walk that
+                    calls random() once a step
 
 plus exact matrix powers for the n-step transition law.  The three routes
 share no code, so agreement between them is a meaningful check.
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, islice
 from math import ceil, floor, gcd, inf, prod
 from numbers import Real
 
@@ -419,7 +419,7 @@ def simulate(
     len(T) + 1 <= 16 classes (at n = 12 over all rows, 3 on balancing, 5 on
     lucas, 7 on lucas-cobalancing, 3 to 6 on the rest), a chunk is read as
     keys: one ``bytes.translate`` maps the top bytes to classes
-    (``_byte_row`` over T), a draw whose bucket holds a sum of T takes its
+    (``_class_row`` over T), a draw whose bucket holds a sum of T takes its
     class from its next byte in the same way, or else is rebuilt
     (``_unit_float``) and bisected into T, and k = ``_KEY_DIGITS[K]``
     consecutive classes (8 at K = 2, 5 at 3, 4 at 4, 3 at 5..6, 2 at
@@ -432,17 +432,15 @@ def simulate(
     and the chunk keyed again from the first draw of the key that needed
     the row.
 
-    Past 16 classes the walk keys each draw by its top byte alone (k = 1),
-    with one node per state.  Entry b of a state's table is the next
-    state's node when no sum of the row lies strictly inside
-    (b/256, (b+1)/256) (``_byte_row``); any other draw is looked up on its
-    next byte in the same way, or else rebuilt and bisected into the row.
+    Past 16 classes, as on a dense matrix file, the walk steps one draw at
+    a time for the rest of the run: the chunk's draws left are rebuilt
+    from their bytes, then ``random()`` goes on along the same generator,
+    and each draw is bisected into its row.
 
     The stream, every step and so the result equal those of the plain
     per-``random()`` walk.  A step costs about 40 ns on the families (k =
-    2..5) and about 170 ns on a 40-state dense matrix (k = 1), where the
-    walk that read one top byte a step took about 80 and 200 ns (10^6
-    steps on a shared 2-core Xeon).
+    2..5) and about 220 ns on a 30- or 40-state dense matrix (one draw at
+    a time; 10^6 steps on a shared 2-core Xeon).
     """
     _require_matrix(m)
     _require_int("steps", steps, 1)
@@ -451,18 +449,16 @@ def simulate(
     n, den = m.n, m.den
     if not 0 <= start < n:
         raise ValueError(f"start state {start} outside 0..{n - 1}")
-    rows: dict[int, tuple[list[int], list[float]]] = {}  # _float_row of each state left
+    rows: list[tuple[list[int], list[float]] | None] = [None] * n  # _float_row of each state left
     sums: set[float] = set()  # their thresholds below 1.0
-    moves: dict[int, list[int]] = {}  # a state's next state by class, or by top byte
-    fine_moves: dict[int, list[int]] = {}  # by top byte: state s's bucket b at 256*s + b
+    moves: dict[int, list[int]] = {}  # a state's next state by class
     tables: dict[int, list] = {}  # a state's nodes by key, then the state
     nodes: list[list] = []  # each [the end state's table, count, *the states on the way]
-    ends: dict[int, list] = {}  # by top byte: the node of each state
     visits = [0] * n
-    keyed = -1  # len(T) when the classes were set; None once keyed by top byte
+    keyed = -1  # len(T) when the classes were set
 
     def float_row(s: int) -> tuple[list[int], list[float]]:
-        row = rows.get(s)
+        row = rows[s]
         if row is None:
             row = rows[s] = _float_row(m.numerators[s], den)
             sums.update(c for c in row[1] if c < 1.0)
@@ -473,13 +469,6 @@ def simulate(
         if table is None:
             table = tables[s] = [None] * width + [s]
         return table
-
-    def node_of(s: int) -> list:
-        node = ends.get(s)
-        if node is None:
-            node = ends[s] = [table_of(s), 0, s]
-            nodes.append(node)
-        return node
 
     def walk(s: int, classes: bytes) -> list[int] | None:
         """The states that the classes step to from s, or None when a row
@@ -518,45 +507,41 @@ def simulate(
         tops = data[3::8]
         pos = 0  # the chunk's first draw not yet stepped
         while pos < count:
-            if keyed is not None and keyed != len(sums):
+            if keyed != len(sums):
                 tally()
                 cuts = sorted(sums)
                 keyed = len(cuts)
                 K = keyed + 1
                 if K > 16:
-                    keyed, k, width = None, 1, 256
-                else:
-                    k = _KEY_DIGITS[K]
-                    width = K**k
-                    bounds = [*cuts, 1.0]
-                    class_of = bytes(_byte_row(range(K), bounds, cut=_CUT))
-                    fine_class = {
-                        b: bytes(_byte_row(range(K), bounds, b, _CUT))
-                        for b in compress(range(256), map(_CUT.__eq__, class_of))
-                    }
-                    digits = [
-                        bytes([c * K**p for c in range(K)]).ljust(256, b"\0")
-                        for p in range(k - 1, -1, -1)
-                    ]
-            if keyed is None:
-                keys = tops[pos:]
-            else:
-                classes = bytearray(tops[pos:].translate(class_of))
-                at = classes.find(_CUT)
-                while at >= 0:
-                    i = pos + at
-                    c = fine_class[tops[i]][data[8 * i + 2]]
-                    if c == _CUT:
-                        u = _unit_float(int.from_bytes(data[8 * i : 8 * i + 8], "little"))
-                        c = bisect_right(cuts, u)
-                    classes[at] = c
-                    at = classes.find(_CUT, at + 1)
-                # digit p of every key at once: no byte sum carries, as K**k <= 256
-                size = len(classes) // k
-                keys = sum(
-                    int.from_bytes(classes[p : size * k : k].translate(d), "little")
-                    for p, d in enumerate(digits)
-                ).to_bytes(size, "little")
+                    break
+                k = _KEY_DIGITS[K]
+                width = K**k
+                bounds = [*cuts, 1.0]
+                class_of = bytes(_class_row(bounds))
+                fine_class = {
+                    b: bytes(_class_row(bounds, b))
+                    for b in compress(range(256), map(_CUT.__eq__, class_of))
+                }
+                digits = [
+                    bytes([c * K**p for c in range(K)]).ljust(256, b"\0")
+                    for p in range(k - 1, -1, -1)
+                ]
+            classes = bytearray(tops[pos:].translate(class_of))
+            at = classes.find(_CUT)
+            while at >= 0:
+                i = pos + at
+                c = fine_class[tops[i]][data[8 * i + 2]]
+                if c == _CUT:
+                    u = _unit_float(int.from_bytes(data[8 * i : 8 * i + 8], "little"))
+                    c = bisect_right(cuts, u)
+                classes[at] = c
+                at = classes.find(_CUT, at + 1)
+            # digit p of every key at once: no byte sum carries, as K**k <= 256
+            size = len(classes) // k
+            keys = sum(
+                int.from_bytes(classes[p : size * k : k].translate(d), "little")
+                for p, d in enumerate(digits)
+            ).to_bytes(size, "little")
             table = table_of(state)
             it = iter(keys)
             for g in it:
@@ -564,36 +549,17 @@ def simulate(
                 if node is None:
                     s = table[-1]
                     at = k * (len(keys) - 1 - it.__length_hint__())  # the key's first draw
-                    if keyed is not None:
-                        path = walk(s, classes[at : at + k])
-                        if path is None:
-                            break
-                        node = table[g] = [table_of(path[-1]), 0, *path]
-                        nodes.append(node)
-                    else:
-                        if s not in moves:
-                            moves[s] = move = _byte_row(*float_row(s))
-                            to = {t: node_of(t) for t in set(move) - {-1}}
-                            table[:256] = map(to.get, move)
-                        node = table[g]
-                        if node is None:
-                            # a sum of the row lies in the bucket
-                            i = 8 * (pos + at)
-                            fine = fine_moves.get(256 * s + g)
-                            if fine is None:
-                                fine = fine_moves[256 * s + g] = _byte_row(*rows[s], g)
-                            nxt = fine[data[i + 2]]
-                            if nxt < 0:
-                                targets, cumulative = rows[s]
-                                u = _unit_float(int.from_bytes(data[i : i + 8], "little"))
-                                nxt = targets[bisect_right(cumulative, u)]
-                            node = node_of(nxt)
+                    path = walk(s, classes[at : at + k])
+                    if path is None:
+                        break
+                    node = table[g] = [table_of(path[-1]), 0, *path]
+                    nodes.append(node)
                 node[1] += 1
                 table = node[0]
             else:
                 s = table[-1]
                 at = k * len(keys)
-                path = [] if keyed is None else walk(s, classes[at:])
+                path = walk(s, classes[at:])
                 if path is not None:
                     for s in path:
                         visits[s] += 1
@@ -602,6 +568,16 @@ def simulate(
             # only when a new row refined the classes
             state = s
             pos += at
+        if K > 16:
+            # one draw at a time from here to the end: the chunk's draws
+            # left from their bytes, then random() on the same generator
+            words = (int.from_bytes(data[i : i + 8], "little") for i in range(8 * pos, 8 * count, 8))
+            draws = chain(map(_unit_float, words), iter(rng.random, None))
+            for u in islice(draws, steps - done - pos):
+                targets, cumulative = rows[state] or float_row(state)
+                state = targets[bisect_right(cumulative, u)]
+                visits[state] += 1
+            break
     tally()
     # a short run on a large chain visits few states: divide only their counts
     empirical = [0.0] * n
@@ -619,32 +595,29 @@ def _float_row(cells: dict[int, int], den: int) -> tuple[list[int], list[float]]
     return list(cells), [acc / den for acc in accumulate(cells.values())]
 
 
-def _byte_row(
-    targets: Sequence[int], cum: list[float], bucket: int | None = None, cut: int = -1
-) -> list[int]:
-    """Entry b is the target that every u in [b/256, (b+1)/256) bisects to
-    in ``cum``, or ``cut`` when a threshold lies strictly inside the
+def _class_row(bounds: list[float], bucket: int | None = None) -> list[int]:
+    """Entry b is the class ``bisect_right(bounds, u)`` of every u in
+    [b/256, (b+1)/256), or ``_CUT`` when a bound lies strictly inside the
     bucket.  With a ``bucket``, the entries split that bucket in 256: entry
     b is for the u in [(256*bucket + b)/65536, (256*bucket + b + 1)/65536).
 
-    Target k takes the u in [cum[k-1], cum[k]), so the whole buckets in
-    that span, the b with ceil(256 * cum[k-1]) <= b < floor(256 * cum[k]);
-    the products are exact, as 256 is a power of 2.
+    Class c takes the u in [bounds[c-1], bounds[c]), so the whole buckets
+    in that span, the b with ceil(256 * bounds[c-1]) <= b < floor(256 *
+    bounds[c]); the products are exact, as 256 is a power of 2.
     """
-    scale, base = 256, 0
+    scale, base, lo, hi = 256, 0, 0, len(bounds)
     if bucket is not None:
-        # only the targets whose spans meet the bucket
-        lo = bisect_right(cum, bucket / 256)
-        hi = bisect_left(cum, (bucket + 1) / 256) + 1
-        targets, cum = targets[lo:hi], cum[lo:hi]
+        # only the classes whose spans meet the bucket
+        lo = bisect_right(bounds, bucket / 256)
+        hi = bisect_left(bounds, (bucket + 1) / 256) + 1
         scale, base = 65536, 256 * bucket
-    row = [cut] * 256
+    row = [_CUT] * 256
     low = 0
-    for target, c in zip(targets, cum):
-        high = min(floor(scale * c) - base, 256)
+    for c, bound in enumerate(bounds[lo:hi], lo):
+        high = min(floor(scale * bound) - base, 256)
         if high > low:
-            row[low:high] = [target] * (high - low)
-        low = max(ceil(scale * c) - base, 0)
+            row[low:high] = [c] * (high - low)
+        low = max(ceil(scale * bound) - base, 0)
     return row
 
 

@@ -1017,17 +1017,26 @@ def exact_thresholds(cells, den):
     return [float(R(s, den)) for s in accumulate(cells.values())]
 
 
-def reference_simulate(m, steps, seed, start=0):
+def reference_path(m, steps, seed, start=0):
     """The plain walk, kept as the oracle: every row's thresholds built up
     front as the exact cumulative probabilities rounded to float, then one
-    ``random()`` and one ``bisect_right`` on them per step."""
+    ``random()`` and one ``bisect_right`` on them per step; the state after
+    each step."""
     targets = [list(cells) for cells in m.numerators]
     cumulative = [exact_thresholds(cells, m.den) for cells in m.numerators]
     draw = random.Random(seed).random
-    visits = [0] * m.n
+    path = []
     state = start
     for _ in range(steps):
         state = targets[state][bisect_right(cumulative[state], draw())]
+        path.append(state)
+    return path
+
+
+def reference_simulate(m, steps, seed, start=0):
+    """The plain walk's visit counts, as a ``SimulationResult``."""
+    visits = [0] * m.n
+    for state in reference_path(m, steps, seed, start):
         visits[state] += 1
     return SimulationResult(
         visits=tuple(visits), steps=steps, seed=seed, empirical=tuple(v / steps for v in visits)
@@ -1073,7 +1082,8 @@ def random_row(rng, n, den):
 _rows = random.Random(25)
 # one sum, 1/2: K = 2 classes, 8 draws a key
 ONE_SUM = StochasticMatrix.from_rows([[R(1, 2), R(1, 2)]] * 2)
-# 19 sums in every row over 10**30, the start row's too: keyed by top byte
+# 19 sums in every row over 10**30, the start row's too: past 16 classes
+# from the first step, so the walk steps one draw at a time
 MANY_SUMS = StochasticMatrix.from_rows([random_row(_rows, 20, 10**30) for _ in range(20)])
 # the start row has one sum, and rows 1 and 2 each add sums when the walk
 # first leaves them, refining the classes
@@ -1081,7 +1091,7 @@ REFINED = StochasticMatrix.from_rows(
     [[R(5, 6), R(1, 6), 0], [R(1, 2), R(1, 3), R(1, 6)], [R(1, 7), R(2, 7), R(4, 7)]]
 )
 # rows over 6 up to state 3, which takes three 1/6 steps to reach; rows 3 on
-# have 19 sums over 10**30, so the walk turns to top-byte keys mid-walk
+# have 19 sums over 10**30, so the walk turns to one draw at a time mid-walk
 SWITCHED = StochasticMatrix.from_rows(
     [[R(5, 6)] + [0] * i + [R(1, 6)] + [0] * (18 - i) for i in range(3)]
     + [random_row(_rows, 20, 10**30) for _ in range(17)]
@@ -1163,6 +1173,43 @@ def test_simulate_equals_the_per_draw_walk_on_every_kind():
         for start in {0, m.n // 2, m.n - 1}:
             expected = reference_simulate(m, 3 * 4096 + 5, k, start)
             assert simulate(m, 3 * 4096 + 5, k, start) == expected, family.label
+
+
+@pytest.mark.parametrize("steps", CHUNK_STEPS)
+@pytest.mark.parametrize("seed", [5, 7])
+@pytest.mark.parametrize("m", [MANY_SUMS, SWITCHED], ids=["many-sums", "switched"])
+def test_simulate_joins_the_chunk_bytes_to_random_at_every_chunk_edge(m, seed, steps):
+    # past 16 classes the walk steps through the chunk's draws left, decoded
+    # from their bytes, and then calls random() on the same generator
+    for start in range(m.n):
+        assert simulate(m, steps, seed, start) == reference_simulate(m, steps, seed, start)
+
+
+def dense_many_sums():
+    """100 states, every cell nonzero: 99 sums a row over 10**30."""
+    rng = random.Random(33)
+    return StochasticMatrix.from_rows([random_row(rng, 100, 10**30) for _ in range(100)])
+
+
+@pytest.mark.parametrize(
+    "make, steps",
+    [(lambda: build(balancing_chain(20000)), 300), (dense_many_sums, 30)],
+    ids=["keyed-family", "dense-many-sums"],
+)
+def test_a_short_run_builds_rows_only_for_the_states_it_leaves(monkeypatch, make, steps):
+    m = make()
+    built = []
+    float_row = steady._float_row
+    monkeypatch.setattr(
+        steady, "_float_row", lambda cells, den: built.append(cells) or float_row(cells, den)
+    )
+    seed = 3
+    path = reference_path(m, steps, seed)
+    assert simulate(m, steps, seed) == reference_simulate(m, steps, seed)
+    # each row once, the first time the walk leaves its state
+    left = dict.fromkeys([0, *path[:-1]])
+    assert [id(cells) for cells in built] == [id(m.numerators[s]) for s in left]
+    assert len(left) < m.n // 3
 
 
 def test_simulate_refuses_a_negative_seed():
