@@ -4,6 +4,11 @@ Results go to stdout (or --out); diagnostics go to stderr as a JSON error
 object.  Exit codes: 0 success, 2 parameter error, 3 verification failure,
 4 solver failure or non-convergence.  Every command is deterministic given
 its full flag set, including --seed.
+
+A command line is parsed once by argparse.  When its first word names a
+command, that command's subparser parses the rest; any other first word
+(none, a flag such as --help, an unknown name) goes through the whole tree,
+which prints the top-level help or reports the error.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .chains import (
     matrix_to_json,
     validate,
 )
-from .quadratic import float_upper, silver_ratio_gap
+from .quadratic import _ratio_gaps, float_upper
 from .sequences import NAMED_KINDS, _decimal_terms, balancing_like
 from .steady import ConvergenceError, SolverError, power_iteration, simulate, solve_exact
 from .verify import (
@@ -55,6 +60,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # the top-level parser's subparsers by command name
+    commands: dict[str, _Parser]
+
     def error(self, message: str):  # noqa: A002 - argparse API
         raise UsageError(message)
 
@@ -124,7 +132,26 @@ def _build_parser() -> _Parser:
     p_limit.add_argument("--digits", type=int, default=50)
     _add_io_flags(p_limit)
 
+    parser.commands = subs.choices
     return parser
+
+
+def _parse(argv: object) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with argparse's first pass
+    skipped when argv's first word is a command: that pass would only hand
+    the rest to the command's subparser and set ``command``.  argv is a
+    list or tuple of str, or None for ``sys.argv[1:]``."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if not isinstance(argv, (list, tuple)) or not all(isinstance(a, str) for a in argv):
+        raise UsageError(f"argv must be a list or tuple of str, got {argv!r}")
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 # Each scope: the usage error when none of its selectors is given, and the
@@ -343,7 +370,7 @@ def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
         raise ParameterError(f"--digits must be <= {_MAX_DIGITS}, got {args.digits}")
     digits = min(args.digits, _FLOAT_DIGITS)
     if mode == "ratio":
-        table = [(n, float_upper(silver_ratio_gap(n, digits))) for n in range(2, max_n + 1)]
+        table = [(n, float_upper(gap)) for n, gap in _ratio_gaps(max_n, digits)]
     else:
         try:
             sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -362,10 +389,10 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _parse(argv)
         except SystemExit as exc:  # --help has printed its text and exits 0
             return exc.code
         text, code = args.handler(args)

@@ -13,12 +13,14 @@ of significant digits however small x is.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 from math import inf, isqrt, nextafter
 
-from .sequences import _balancing_pair, _is_int, _require_int
+from .sequences import BALANCING, _balancing_pair, _is_int, _recurrence, _require_int
 
 __all__ = [
     "QuadInt",
@@ -233,5 +235,17 @@ def silver_ratio_gap(n: int, digits: int = 50) -> Fraction:
     """
     _require_int("index", n, 2)
     _require_int("digits", digits, 1)
-    b_prev, b_n = _balancing_pair(n - 1)
+    return _ratio_gap(*_balancing_pair(n - 1), digits)
+
+
+def _ratio_gap(b_prev: int, b_n: int, digits: int) -> Fraction:
+    """``silver_ratio_gap``'s bound from (B[n-1], B[n])."""
     return _abs_bound(b_prev - 3 * b_n, b_n, 2, digits)
+
+
+def _ratio_gaps(max_n: int, digits: int) -> Iterator[tuple[int, Fraction]]:
+    """(n, silver_ratio_gap(n, digits)) for n = 2..max_n, the pairs
+    (B[n-1], B[n]) walked one balancing step a row."""
+    pairs = pairwise(_recurrence(BALANCING.recurrence, max_n, 1, 6))  # from (B[1], B[2])
+    for n, (b_prev, b_n) in enumerate(pairs, 2):
+        yield n, _ratio_gap(b_prev, b_n, digits)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import pairwise
 
 from .chains import KINDS, ChainFamily, ParameterError, _require_family, build, truncated_infinite_chain
@@ -27,7 +28,6 @@ from .quadratic import (
 from .sequences import (
     BALANCING,
     RecurrenceSpec,
-    SequenceKind,
     _balancing_pair,
     _is_int,
     _recurrence,
@@ -83,13 +83,23 @@ def _require_list(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be a list or tuple, got {type(value).__name__}")
 
 
+# the weights' recurrence is built once per coeff (6, or a family's a); a is
+# unbounded, so only the last few are kept
+_RECURRENCE_CACHE = 16
+
+
+@lru_cache(maxsize=_RECURRENCE_CACHE)
+def _weight_recurrence(coeff: int) -> RecurrenceSpec:
+    """x(k+1) = coeff*x(k) - x(k-1); ``_weights`` passes the start values."""
+    return RecurrenceSpec(coeff, 0, 0, 1)
+
+
 def _weights(family: ChainFamily) -> list[int]:
     """The closed form's integer weights x(n), ..., x(1): pi[i] is x(n-i)
     over their sum."""
     _require_family(family)
-    spec = KINDS[family.kind]
-    kind = SequenceKind(spec.name, RecurrenceSpec(family.coeff, 0, spec.x0, 1))
-    return sequence(kind, family.n + 1)[:0:-1]
+    r = _weight_recurrence(family.coeff)
+    return list(_recurrence(r, family.n + 1, KINDS[family.kind].x0, 1))[:0:-1]
 
 
 def closed_form(family: ChainFamily) -> list[Fraction]:
@@ -111,8 +121,8 @@ def verify_family(family: ChainFamily) -> VerificationReport:
     """Compare the closed form against the exact solver, entry by entry.
 
     The match is decided on integers: with x the closed form's weights and
-    S their sum, each solved entry s must have s.numerator*S equal to
-    x[i]*s.denominator, which is exact whether or not x[i]/S is reduced.
+    S their sum, each solved entry s = p/q must have p*S equal to x[i]*q,
+    which is exact whether or not x[i]/S is reduced.
     On a match ``predicted`` is a copy of ``solved``, the same values; only
     a mismatch builds the closed form's Fractions and its largest gap.  A
     ``family`` that is not a ChainFamily raises ParameterError.
@@ -121,7 +131,7 @@ def verify_family(family: ChainFamily) -> VerificationReport:
     solved = solve_exact(build(family))
     total = sum(x)
     exact_match = len(x) == len(solved) and all(
-        s.numerator * total == v * s.denominator for v, s in zip(x, solved)
+        p * total == v * q for v, (p, q) in zip(x, map(Fraction.as_integer_ratio, solved))
     )
     if exact_match:
         predicted = list(solved)

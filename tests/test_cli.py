@@ -10,16 +10,18 @@ from functools import cache
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balchain import cli
 from balchain.chains import balancing_chain, build, matrix_to_json, truncated_infinite_chain
-from balchain.cli import _MAX_DIGITS, _build_parser, main
+from balchain.cli import _MAX_DIGITS, UsageError, _build_parser, _parse, main
 from balchain.quadratic import infinite_steady_state
 from balchain.sequences import BALANCING, NAMED_KINDS, RecurrenceSpec, SequenceKind, sequence
 from balchain.steady import solve_exact
 from oracles import abs_enclosure
+from test_cli_fuzz import ARGV
+from test_golden import _cases as golden_cases
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -496,7 +498,7 @@ def test_limit_digits_past_the_cap_exits_2_before_any_work(capsys, monkeypatch, 
         raise AssertionError("a table was computed past the --digits cap")
 
     monkeypatch.setattr(cli, "truncation_convergence", never)
-    monkeypatch.setattr(cli, "silver_ratio_gap", never)
+    monkeypatch.setattr(cli, "_ratio_gaps", never)
     code, out, err = run_cli(capsys, "limit", *mode, "--digits", str(_MAX_DIGITS + 1))
     assert (code, out) == (2, "")
     message = f"--digits must be <= {_MAX_DIGITS}, got {_MAX_DIGITS + 1}"
@@ -512,7 +514,7 @@ def test_limit_digits_below_1_exits_2_before_any_work(capsys, monkeypatch, mode,
         raise AssertionError("a table was computed below --digits 1")
 
     monkeypatch.setattr(cli, "truncation_convergence", never)
-    monkeypatch.setattr(cli, "silver_ratio_gap", never)
+    monkeypatch.setattr(cli, "_ratio_gaps", never)
     code, out, err = run_cli(capsys, "limit", *mode, "--digits", digits)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": {"code": 2, "message": f"--digits must be >= 1, got {digits}"}}
@@ -726,6 +728,72 @@ def test_help_returns_zero(capsys, argv):
     assert code == 0
     assert out.startswith("usage: balchain")
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[5], ["verify", 5], [["x"]], ["seq", None], "verify", b"verify", ("seq", 5), {"seq": 1}, 7],
+    ids=("int", "int-after-a-command", "list", "none", "str", "bytes", "tuple", "dict", "bare-int"),
+)
+def test_argv_that_is_not_a_list_or_tuple_of_str_is_a_parameter_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    message = f"argv must be a list or tuple of str, got {argv!r}"
+    assert json.loads(captured.err)["error"] == {"code": 2, "message": message}
+
+
+def test_argv_is_a_tuple_or_defaults_to_sys_argv(capsys, monkeypatch):
+    assert main(("seq", "balancing", "--count", "3")) == 0
+    assert capsys.readouterr().out == "0\n1\n6\n"
+    monkeypatch.setattr(sys, "argv", ["balchain", "seq", "pell", "--count", "4"])
+    assert main() == 0
+    assert capsys.readouterr().out == "0\n1\n2\n5\n"
+
+
+def _full_tree(argv):
+    return _build_parser().parse_args(argv)
+
+
+def _outcome(parse, argv):
+    """What parsing argv ends in: the Namespace's vars, a UsageError's
+    message, or a SystemExit's code and what was printed on stdout.  The
+    vars are compared by repr, in which --tol nan equals itself."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return "parsed", repr(sorted(vars(parse(argv)).items()))
+    except UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+COMMANDS = ("seq", "chain", "solve", "verify", "limit")
+HELP_ARGVS = [
+    *([flag] for flag in ("-h", "--help")),
+    *([flag, command] for flag in ("-h", "--help") for command in COMMANDS),
+    *([command, flag] for flag in ("-h", "--help") for command in COMMANDS),
+    ["verify", "balancing", "--n", "3", "--help"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*map(list, golden_cases()), *HELP_ARGVS, [], ["frobnicate"], ["--n", "3"], ["ver"], ["Verify"]],
+    ids=lambda argv: " ".join(argv) or "(empty)",
+)
+def test_a_command_line_parses_as_the_full_tree_would(argv):
+    outcome = _outcome(_parse, argv)
+    assert outcome == _outcome(_full_tree, argv)
+    if "-h" in argv or "--help" in argv:
+        assert outcome[:2] == ("exit", 0) and outcome[2].startswith("usage: balchain")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV.map(lambda parts: [a for part in parts for a in part]))
+def test_a_drawn_command_line_parses_as_the_full_tree_would(argv):
+    assert _outcome(_parse, argv) == _outcome(_full_tree, argv)
 
 
 @pytest.mark.parametrize(

@@ -307,6 +307,16 @@ def test_silver_ratio_gap_is_the_closed_form_and_tight():
             assert_tight(bound, ratio - 3, 2, digits)
 
 
+@pytest.mark.parametrize("digits", [5, 40, 2000])
+def test_the_ratio_table_walk_gives_each_silver_ratio_gap(digits):
+    # limit --ratio's rows step the balancing recurrence once a row where
+    # silver_ratio_gap runs a ladder to each n
+    table = list(quadratic._ratio_gaps(120, digits))
+    assert table == [(n, silver_ratio_gap(n, digits)) for n in range(2, 121)]
+    assert list(quadratic._ratio_gaps(2, digits)) == [(2, silver_ratio_gap(2, digits))]
+    assert list(quadratic._ratio_gaps(1, digits)) == []
+
+
 @pytest.mark.parametrize(
     "call",
     [enclosure, lambda x: gap_bound(Fraction(1, 2), x)],
