@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
 from math import inf, isqrt, nextafter
+from sys import float_info
 
 from .sequences import BALANCING, _balancing_pair, _is_int, _recurrence, _require_int
 
@@ -39,11 +40,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadInt:
-    """Element a + b*sqrt(2) of the ring Z[sqrt(2)].  Its other operand
-    is a QuadInt or an int, not a bool, as for ``**``."""
+    """Element a + b*sqrt(2) of the ring Z[sqrt(2)]: a and b are ints, not
+    bools, or ValueError.  Its other operand is a QuadInt or an int, not a
+    bool, as for ``**``."""
 
     a: int
     b: int
+
+    def __post_init__(self) -> None:
+        if type(self.a) is not int or type(self.b) is not int:  # one type test in the common case
+            _require_int("a", self.a)
+            _require_int("b", self.b)
 
     def __add__(self, other: QuadInt | int) -> QuadInt:
         if isinstance(other, QuadInt):
@@ -213,10 +220,15 @@ def gap_bound(value: Fraction, x: QuadInt, digits: int = 50) -> Fraction:
 
 def float_upper(value: Fraction) -> float:
     """Smallest float that is >= value (directed rounding for reports);
-    value is an int, not a bool, or a Fraction, or ValueError."""
+    value is an int, not a bool, or a Fraction, or ValueError.  Above the
+    largest float the result is inf, and below its negative it is
+    -float_info.max."""
     _require_rational(value)
     p, q = value.numerator, value.denominator
-    approx = p / q  # float(value), rounded to nearest
+    try:
+        approx = p / q  # float(value), rounded to nearest
+    except OverflowError:
+        return inf if p > 0 else -float_info.max
     n, d = approx.as_integer_ratio()
     if n * q >= p * d:
         return approx

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice
-from math import ceil, floor, gcd, inf, prod
+from math import ceil, floor, gcd, inf, lcm, prod
 from numbers import Real
 
 from .chains import StochasticMatrix, _require_matrix
@@ -90,18 +90,17 @@ def solve_exact(m: StochasticMatrix) -> list[Fraction]:
     (P[i][j] == 0 for j > i + 1: no row jumps up by more than one state)
     and every superdiagonal entry P[j-1][j] is nonzero, column j's
     equation gives pi[j-1] from pi[j..n-1], so pi is back-substituted in
-    O(nnz) on the matrix's int numerators (``_skip_free_weights``) and
-    each entry is reduced once.  Any other matrix goes to exact state
-    reduction on the same numerators (``_reduce_states``), which touches
-    only the stored cells and their fill-in.  Either route returns the
-    one stationary vector, 0 on the transient states, so they agree
-    wherever both apply.  A skip-free chain has one closed class; state
-    reduction raises SolverError on a chain with more than one.
+    O(nnz) on the matrix's int numerators (``_skip_free_weights``).  Any
+    other matrix goes to exact state reduction on the same numerators
+    (``_reduce_states``), which touches only the stored cells and their
+    fill-in.  Both routes return the one stationary vector, 0 on the
+    transient states, as primitive int weights (gcd 1), so they agree
+    wherever both apply, and each entry is one division of a weight by
+    their sum.  A skip-free chain has one closed class; state reduction
+    raises SolverError on a chain with more than one.
     """
     _require_matrix(m)
-    w = _skip_free_weights(m.den, m.numerators)
-    if w is None:
-        return _reduce_states(m.numerators)
+    w = _skip_free_weights(m.den, m.numerators) or _reduce_states(m.numerators)
     total = sum(w)
     return [Fraction(v, total) for v in w]
 
@@ -141,8 +140,9 @@ def _skip_free_weights(den: int, rows: tuple[dict[int, int], ...]) -> list[int] 
     return [v // g for v in w] if g > 1 else w
 
 
-def _reduce_states(rows: tuple[dict[int, int], ...]) -> list[Fraction]:
-    """Stationary vector by exact state reduction on the int numerators.
+def _reduce_states(rows: tuple[dict[int, int], ...]) -> list[int]:
+    """Weights of pi with gcd 1, by exact state reduction on the int
+    numerators.
 
     The states go from n-1 down, the anchor state 0 last.  Taking state k
     away leaves the chain watched on the states still left: each row i
@@ -153,6 +153,10 @@ def _reduce_states(rows: tuple[dict[int, int], ...]) -> list[Fraction]:
     times den): it is multiplied by S_k to take the update, then divided
     by its gcd with c[i]*S_k.  Back from pi[anchor] = 1, pi[k] is c[k]/S_k
     times sum(pi[i]*x/c[i]) over the cells x = A[i][k] that k took away.
+    The weights are pi times d, the lcm of its denominators, and need no
+    gcd pass: for each prime p of d, some entry's denominator holds p to
+    the same power as d, so that entry's weight is prime to p, and the
+    anchor's weight is d itself, prime to every other prime.
 
     A zero pivot is a state that reaches no state left, the anchor
     included: it lies in a closed class without state 0, and a second
@@ -184,8 +188,8 @@ def _reduce_states(rows: tuple[dict[int, int], ...]) -> list[Fraction]:
             pi = [Fraction(1)] * n
             for k, scale, cells in reversed(inflow):
                 pi[k] = scale * sum(pi[i] * p for i, p in cells)
-            total = sum(pi)
-            return [p / total for p in pi]
+            d = lcm(*(p.denominator for p in pi))
+            return [p.numerator * (d // p.denominator) for p in pi]
         anchor = k
     raise SolverError(_SINGULAR)
 

@@ -12,6 +12,7 @@ from balchain import (
     BALANCING,
     BETA,
     ParameterError,
+    QuadInt,
     SequenceKind,
     StochasticMatrix,
     abs_bound,
@@ -92,6 +93,8 @@ INT_ARGUMENTS = {
     "beta_power_row": beta_power_row,
     "StochasticMatrix.from_cells.n": lambda v: StochasticMatrix.from_cells(v, {}),
     "QuadInt.__pow__": lambda v: BETA**v,
+    "QuadInt.a": lambda v: QuadInt(v, 0),
+    "QuadInt.b": lambda v: QuadInt(0, v),
 }
 
 

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from math import inf, nextafter
 
@@ -213,6 +214,27 @@ def test_float_upper_is_the_smallest_float_at_or_above(value):
     # subnormals and values below 5e-324 included
     up = float_upper(value)
     assert Fraction(up) >= value > Fraction(nextafter(up, -inf))
+
+
+LARGEST = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize(
+    "value, up",
+    [
+        (LARGEST, sys.float_info.max),
+        (LARGEST + 1, inf),
+        (2**1024 - 2**970, inf),  # the midpoint, which rounds to nearest past max
+        (10**400, inf),
+        (Fraction(10**400, 3), inf),
+        (-(10**400), -sys.float_info.max),
+        (-(LARGEST + 1), -sys.float_info.max),
+    ],
+    ids=["max", "max+1", "midpoint", "1e400", "1e400/3", "-1e400", "-(max+1)"],
+)
+def test_float_upper_past_the_largest_float(value, up):
+    # before, the values that round past max raised OverflowError
+    assert float_upper(value) == up
 
 
 @pytest.mark.parametrize(

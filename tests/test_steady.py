@@ -721,11 +721,15 @@ def sparse_or_dense_matrices(draw):
 @example(StochasticMatrix.from_cells(4, {(0, 2): 1, (2, 1): 1, (1, 3): 1, (3, 0): 1}))
 @example(StochasticMatrix.from_rows([[1]]))  # n = 1
 def test_state_reduction_equals_gaussian_elimination(m):
+    # state reduction returns primitive int weights, which over their sum
+    # are the eliminated vector
     expected = solve_or_singular(_solve_gauss, m)
     got = solve_or_singular(lambda m: steady._reduce_states(m.numerators), m)
-    assert got == expected
-    if not isinstance(got, str):
-        assert all(type(p) is R for p in got)
+    if isinstance(got, str):
+        assert got == expected
+    else:
+        assert all(type(w) is int for w in got) and gcd(*got) == 1
+        assert [R(w, sum(got)) for w in got] == expected
 
 
 def ring(n):
@@ -889,13 +893,13 @@ skip_free_cells = st.sampled_from([0, 0, 1, 2, 3, 7])
 
 
 @st.composite
-def skip_free_matrices(draw):
+def skip_free_matrices(draw, superdiagonal=skip_free_cells):
     n = draw(st.integers(1, 11))
     rows = []
     for i in range(n):
         row = [0] * n
         if i + 1 < n:
-            row[i + 1] = draw(skip_free_cells)
+            row[i + 1] = draw(superdiagonal)
         row[i] = draw(skip_free_cells)
         if i:
             for _ in range(draw(st.integers(0, 3))):
@@ -923,6 +927,18 @@ def test_skip_free_route_equals_gaussian_elimination(m):
         assert (min(weights) > 0) == validate(m).irreducible
     else:
         assert weights is None
+
+
+# those skip-free matrices with every superdiagonal cell nonzero, so the
+# skip-free route takes each of them
+@given(skip_free_matrices(superdiagonal=st.sampled_from([1, 2, 3, 7])))
+@example(StochasticMatrix.from_rows([[0, 1, 0], [0, R(2, 3), R(1, 3)], [R(1, 2), R(1, 2), 0]]))
+@example(StochasticMatrix.from_rows([[R(1, 2), R(1, 2), 0], [R(1, 3), 0, R(2, 3)], [0, 0, 1]]))
+def test_state_reduction_equals_the_skip_free_weights(m):
+    # two independent eliminations give one primitive weight vector
+    weights = steady._skip_free_weights(m.den, m.numerators)
+    assert weights is not None
+    assert steady._reduce_states(m.numerators) == weights
 
 
 class _TopDraw:
