@@ -227,7 +227,7 @@ KINDS = {
         ),
         FamilyKind(
             "truncated-infinite-q", "reflect", 3, False, True, 1,
-            _same_as("truncated", "1/6"),
+            _same_as("truncated-infinite", "1/6"),
         ),
         FamilyKind(
             "balancing-like", "edge", 3, True, False, 0,

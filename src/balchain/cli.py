@@ -25,7 +25,6 @@ from .chains import (
     ChainFamily,
     ParameterError,
     StochasticMatrix,
-    _exact_number,
     build,
     matrix_from_json,
     matrix_to_csv,
@@ -243,8 +242,6 @@ def _make_family(kind: str, n: int | None, a: int | None, q: str | None) -> Chai
         raise UsageError(f"family {kind} requires --a")
     if spec.takes_q and q is None:
         raise UsageError(f"family {kind} requires --q")
-    if q is not None:
-        q = _exact_number(q, "cannot parse fraction")
     return ChainFamily(kind, n, a, q)
 
 

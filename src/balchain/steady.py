@@ -92,12 +92,14 @@ def solve_exact(m: StochasticMatrix) -> list[Fraction]:
     equation gives pi[j-1] from pi[j..n-1], so pi is back-substituted in
     O(nnz) on the matrix's int numerators (``_skip_free_weights``).  Any
     other matrix goes to exact state reduction on the same numerators
-    (``_reduce_states``), which touches only the stored cells and their
-    fill-in.  Both routes return the one stationary vector, 0 on the
-    transient states, as primitive int weights (gcd 1), so they agree
-    wherever both apply, and each entry is one division of a weight by
-    their sum.  A skip-free chain has one closed class; state reduction
-    raises SolverError on a chain with more than one.
+    (``_reduce_states``): each removal probes every state still left for a
+    cell in its column, about n**2/2 dict lookups in all, and divides each
+    row it updates by that row's gcd.  Both routes return the one
+    stationary vector, 0 on the transient states, as primitive int weights
+    (gcd 1), so they agree wherever both apply, and each entry is one
+    division of a weight by their sum.  A skip-free chain has one closed
+    class; state reduction raises SolverError on a chain with more than
+    one.
     """
     _require_matrix(m)
     w = _skip_free_weights(m.den, m.numerators) or _reduce_states(m.numerators)
@@ -147,12 +149,15 @@ def _reduce_states(rows: tuple[dict[int, int], ...]) -> list[int]:
     The states go from n-1 down, the anchor state 0 last.  Taking state k
     away leaves the chain watched on the states still left: each row i
     with a cell x = A[i][k] gains x*A[k][j]/S_k for each of k's exits j,
-    where the pivot S_k is the sum of those exits.  Nothing is subtracted,
-    and only stored cells and their fill-in are touched.  A row stays ints
-    over its own scale c[i] (A[i][j]/c[i] is the watched chain's P[i][j]
-    times den): it is multiplied by S_k to take the update, then divided
-    by its gcd with c[i]*S_k.  Back from pi[anchor] = 1, pi[k] is c[k]/S_k
-    times sum(pi[i]*x/c[i]) over the cells x = A[i][k] that k took away.
+    where the pivot S_k is the sum of those exits.  Nothing is subtracted.
+    Each removal probes every state still left with a dict lookup, about
+    n**2/2 in all (1,279,200 at n = 1600), whether or not the row holds a
+    cell in column k.  A row stays primitive ints: it is multiplied by S_k
+    to take the update, then divided by the gcd of its own cells, so the
+    watched chain's P[i][j] is A[i][j] over the row's sum.  Back from
+    pi[anchor] = 1, pi[k] is A_k/S_k times sum(pi[i]*x/A_i) over the cells
+    x = A[i][k] that k took away, where A_k is row k's sum when k goes and
+    A_i is row i's sum just before it loses the cell x.
     The weights are pi times d, the lcm of its denominators, and need no
     gcd pass: for each prime p of d, some entry's denominator holds p to
     the same power as d, so that entry's weight is prime to p, and the
@@ -168,7 +173,7 @@ def _reduce_states(rows: tuple[dict[int, int], ...]) -> list[int]:
     n, anchor = len(rows), 0
     for _ in range(2):
         order = [s for s in range(n - 1, -1, -1) if s != anchor] + [anchor]
-        a, c, inflow = [dict(cells) for cells in rows], [1] * n, []
+        a, inflow = [dict(cells) for cells in rows], []
         for r, k in enumerate(order[:-1]):
             exits = {j: v for j, v in a[k].items() if j != k}
             s = sum(exits.values())
@@ -177,13 +182,13 @@ def _reduce_states(rows: tuple[dict[int, int], ...]) -> list[int]:
             cells = []
             for i in order[r + 1 :]:
                 if x := a[i].pop(k, 0):
-                    cells.append((i, Fraction(x, c[i])))
+                    cells.append((i, Fraction(x, x + sum(a[i].values()))))
                     row = {j: v * s for j, v in a[i].items()}
                     for j, v in exits.items():
                         row[j] = row.get(j, 0) + x * v
-                    g = gcd(*row.values(), c[i] * s)
-                    a[i], c[i] = {j: v // g for j, v in row.items()}, c[i] * s // g
-            inflow.append((k, Fraction(c[k], s), cells))
+                    g = gcd(*row.values())
+                    a[i] = {j: v // g for j, v in row.items()}
+            inflow.append((k, Fraction(sum(a[k].values()), s), cells))
         else:
             pi = [Fraction(1)] * n
             for k, scale, cells in reversed(inflow):

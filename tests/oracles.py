@@ -2,7 +2,7 @@
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from balchain.chains import StochasticMatrix, ValidationReport, _require_matrix
 from balchain.steady import _SINGULAR, SolverError
@@ -48,6 +48,14 @@ def _solve_gauss(m: StochasticMatrix) -> list[Fraction]:
             acc -= row[k] * pi[k]
         pi[r] = acc / row[r]
     return pi
+
+
+def _gauss_weights(m: StochasticMatrix) -> list[int]:
+    """``_solve_gauss``'s vector as primitive int weights: each entry times
+    the lcm of the denominators, the form ``steady``'s eliminations return."""
+    pi = _solve_gauss(m)
+    d = lcm(*(p.denominator for p in pi))
+    return [p.numerator * (d // p.denominator) for p in pi]
 
 
 def validate(m: StochasticMatrix) -> ValidationReport:

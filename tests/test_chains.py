@@ -32,7 +32,7 @@ from balchain.chains import (
 )
 from balchain.cli import _make_family, main
 from balchain.steady import n_step, solve_exact
-from oracles import _solve_gauss
+from oracles import _gauss_weights, _solve_gauss
 
 NOT_EXACT = 'an exact number is an int, a Fraction or a string like "1/6"'
 BUDGET = "decimal exponent past +-1000"
@@ -551,9 +551,10 @@ def test_band_shape_rejects_cells_off_the_pattern(monkeypatch):
     rows = [list(row) for row in build(balancing_chain(5)).rows()]
     rows[1][3], rows[1][0] = R(1, 100), rows[1][0] - R(1, 100)
     m = StochasticMatrix.from_rows(rows)
+    weights = _gauss_weights(m)
     calls = []
-    monkeypatch.setattr(steady, "_reduce_states", lambda rows: calls.append(rows) or [])
-    solve_exact(m)
+    monkeypatch.setattr(steady, "_reduce_states", lambda rows: calls.append(rows) or weights)
+    assert solve_exact(m) == _solve_gauss(m)
     assert calls == [m.numerators]
 
 

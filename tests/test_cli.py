@@ -629,7 +629,10 @@ MATRIX_FILE = "{matrix_file}"
             ("chain", "balancing", "--n", "4", "--q", "1/7"),
             "balancing takes no step probability q, got 1/7",
         ),
-        (("chain", "balancing", "--n", "4", "--q", "garbage"), "cannot parse fraction 'garbage': "),
+        (
+            ("chain", "balancing", "--n", "4", "--q", "garbage"),
+            "balancing takes no step probability q, got garbage",
+        ),
         (("solve", "lucas", "--n", "4", "--a", "3"), "lucas takes no multiplier a, got 3"),
         (
             ("verify", "pell-ratio", "--n", "4", "--q", "1/7"),
@@ -654,7 +657,7 @@ def test_q_past_the_exponent_budget_is_a_parameter_error(capsys, q):
     # refused by the range check
     code, out, err = run_cli(capsys, "solve", "balancing-q", "--n", "4", "--q", q)
     assert (code, out) == (2, "")
-    message = f"cannot parse fraction {q!r}: decimal exponent past +-1000"
+    message = f"balancing-q needs an exact q, got {q!r}: decimal exponent past +-1000"
     assert json.loads(err)["error"] == {"code": 2, "message": message}
 
 

@@ -155,6 +155,14 @@ def test_notes_record_index_discrepancy():
     assert "entry 0" in verify_family(pell_ratio_chain(5)).notes
 
 
+@pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if spec.takes_q])
+def test_q_notes_name_their_q_free_kind(kind):
+    a = 4 if KINDS[kind].takes_a else None
+    family = ChainFamily(kind, KINDS[kind].min_n, a, R(1, 10))
+    assert kind[:-2] in KINDS
+    assert f"q-free {kind[:-2]} chain" in verify_family(family).notes
+
+
 def test_multiplier_six_closed_form_reduces_to_balancing():
     for n in (3, 9, 14):
         assert closed_form(balancing_like_chain(n, 6)) == closed_form(
